@@ -16,7 +16,7 @@ use anmat_bench::{criterion, experiment_config};
 use anmat_core::{detect_all, discover, Pfd};
 use anmat_datagen::{zipcity, Dataset};
 use anmat_obs as obs;
-use anmat_stream::{ShardBy, ShardedEngine, StreamConfig, StreamEngine};
+use anmat_stream::{StreamConfig, StreamEngine};
 use anmat_table::{RowOp, Table, Value, ValueId};
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -196,58 +196,13 @@ fn churn_memory_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) {
     }
 }
 
-/// Shard-count sweep on the 90/10 churn workload: ops/s for the
-/// single-threaded engine and for `ShardedEngine` at 1/2/4/8 workers.
-/// Rule processing is the parallel fraction, so the curve is bounded by
-/// the rule count *and* by the host's cores — both are printed so the
-/// artifact is interpretable wherever it was produced (a single-core
-/// container timeslices the workers and shows a flat line; the speedup
-/// materializes on multi-core hosts).
-fn shard_sweep_artifact(data: &Dataset, rules: &[Pfd], rows: usize) {
-    let ops = churn_ops(data);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    println!(
-        "── E14 artifact: shard sweep (90/10 churn, {rows} rows, {} ops; \
-         {} rule(s) shardable, {cores} core(s) available) ──",
-        ops.len(),
-        rules.len()
-    );
-    let ops_per_sec = |secs: f64| ops.len() as f64 / secs;
-    let start = Instant::now();
-    let mut engine = StreamEngine::new(data.table.schema().clone(), rules.to_vec());
-    engine.apply(ops.iter().cloned()).expect("ops are valid");
-    let single = ops_per_sec(start.elapsed().as_secs_f64());
-    println!(
-        "  single-threaded   : {single:>9.0} ops/s ({} live violations)",
-        engine.ledger().live_count()
-    );
-    let mut one_shard = single;
-    for shards in [1usize, 2, 4, 8] {
-        let mut engine = ShardedEngine::new(data.table.schema().clone(), rules.to_vec(), shards);
-        let start = Instant::now();
-        engine.apply(ops.iter().cloned()).expect("ops are valid");
-        let rate = ops_per_sec(start.elapsed().as_secs_f64());
-        if shards == 1 {
-            one_shard = rate;
-        }
-        println!(
-            "  sharded ×{:<2}       : {rate:>9.0} ops/s ({:.2}× vs 1 shard, {} worker(s), \
-             {} live violations)",
-            shards,
-            rate / one_shard,
-            engine.shard_count(),
-            engine.ledger().live_count()
-        );
-    }
-}
-
 /// Recorder-overhead check: the 90/10 churn workload with the metrics
 /// recorder off vs on. The naive off-then-on ordering once reported the
 /// instrumented leg *faster* (−52%): the first leg pays pool interning,
 /// page-cache, and branch-predictor warmup that the second inherits for
 /// free. Both legs are therefore warmed explicitly (one untimed run in
-/// each recorder state), then timed with the same interleaved
-/// discipline the shard coordination legs use: 7 repetitions, leg
+/// each recorder state), then timed with an interleaved discipline:
+/// 7 repetitions, leg
 /// order alternating forward/reverse per rep, each leg keeping its
 /// best time — so both recorder states sample the same mix of
 /// ambient-load windows instead of whole legs landing in different
@@ -522,195 +477,6 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
     )
 }
 
-/// The tentpole artifact: key-granular sharding on a workload that
-/// rule-granular sharding *cannot* spread — one heavy variable rule
-/// (zip prefix → city), where `--shard-by rule` clamps to a single
-/// worker however many are requested. Key mode hashes blocking keys
-/// over all workers, so the sweep records the scaling the second axis
-/// opens. On a single-core container the workers timeslice, so the
-/// interesting figure there is coordination overhead: key-mode ×4 must
-/// stay within 15% of rule mode. The ≥2× multi-core scaling claim is
-/// recorded in the JSON artifact for verification on a multi-core
-/// host. Returns the artifact's JSON fragment.
-///
-/// The 1-core acceptance figure compares key ×4 against *rule ×4 on
-/// the full discovered rule set* — there both modes run four workers,
-/// each maintaining its table replica, so the replicated-apply cost
-/// cancels and the difference isolates what key mode adds:
-/// coordinator-side route derivation plus the per-key merge. The
-/// single-rule sweep cannot make that comparison honestly on one core,
-/// because rule mode clamps a one-rule workload to a single worker
-/// while key mode timeslices four.
-fn key_shard_sweep_artifact(data: &Dataset, discovered: &[Pfd], rows: usize) -> String {
-    use anmat_core::PatternTuple;
-
-    let rule = Pfd::new(
-        "Zip",
-        "zip",
-        "city",
-        vec![PatternTuple::variable(
-            "[\\D{3}]\\D{2}".parse().expect("static pattern"),
-        )],
-    );
-    let heavy = vec![rule];
-    let ops = churn_ops(data);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    println!(
-        "── E14 artifact: key-granular shard sweep (single heavy variable rule, \
-         90/10 churn, {rows} rows, {} ops, {cores} core(s) available) ──",
-        ops.len()
-    );
-    // Feed in 512-op chunks so run-ahead pipelining has batches to
-    // overlap (a single monolithic batch would serialize at the merge).
-    let chunks: Vec<Vec<RowOp>> = ops.chunks(512).map(<[RowOp]>::to_vec).collect();
-    // Best-of-3 per configuration: on a timesliced single-core box a
-    // single pass is one scheduling roll of the dice, and the sweep's
-    // point is capability, not one roll.
-    let timed_single = |rules: &[Pfd]| {
-        let mut best = 0.0f64;
-        for _ in 0..3 {
-            let mut engine = StreamEngine::new(data.table.schema().clone(), rules.to_vec());
-            let start = Instant::now();
-            for chunk in &chunks {
-                engine.apply(chunk.iter().cloned()).expect("ops are valid");
-            }
-            let rate = ops.len() as f64 / start.elapsed().as_secs_f64();
-            black_box(engine.ledger().live_count());
-            best = best.max(rate);
-        }
-        best
-    };
-    let timed_sharded = |rules: &[Pfd], shard_by: ShardBy, shards: usize, run_ahead: usize| {
-        let config = StreamConfig {
-            shard_by,
-            shards,
-            run_ahead,
-            ..StreamConfig::default()
-        };
-        let mut best = 0.0f64;
-        for _ in 0..3 {
-            let mut engine =
-                ShardedEngine::with_config(data.table.schema().clone(), rules.to_vec(), config);
-            let start = Instant::now();
-            for chunk in &chunks {
-                black_box(engine.submit(chunk.iter().cloned()).expect("ops are valid"));
-            }
-            black_box(engine.flush());
-            let rate = ops.len() as f64 / start.elapsed().as_secs_f64();
-            black_box(engine.ledger().live_count());
-            best = best.max(rate);
-        }
-        best
-    };
-    timed_single(&heavy); // warm pool/caches outside every timed leg
-    let single = timed_single(&heavy);
-    println!("  single-threaded          : {single:>9.0} ops/s");
-    let rule_x4_heavy = timed_sharded(&heavy, ShardBy::Rule, 4, 0);
-    println!(
-        "  rule mode ×4 (clamps to 1): {rule_x4_heavy:>9.0} ops/s ({:.2}× vs single — one \
-         rule, one worker)",
-        rule_x4_heavy / single
-    );
-    let mut key_rates = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let rate = timed_sharded(&heavy, ShardBy::Key, shards, 0);
-        println!(
-            "  key mode ×{shards}               : {rate:>9.0} ops/s ({:.2}× vs single)",
-            rate / single
-        );
-        key_rates.push((shards, rate));
-    }
-    let key_x4_pipelined = timed_sharded(&heavy, ShardBy::Key, 4, 4);
-    println!(
-        "  key mode ×4, run-ahead 4 : {key_x4_pipelined:>9.0} ops/s ({:.2}× vs single)",
-        key_x4_pipelined / single
-    );
-    let key_x4 = key_rates
-        .iter()
-        .find(|(s, _)| *s == 4)
-        .map_or(0.0, |&(_, r)| r);
-    // Coordination overhead, measured where it is actually isolated:
-    // the discovered multi-rule set, ×4 workers on both axes. On a
-    // timesliced 1-core box, sequential best-of-3 legs sample different
-    // ambient-load regimes and the comparison flaps by ±10%; instead the
-    // three legs are interleaved (alternating forward/reverse order each
-    // rep) and each keeps its best of 7, so every leg sees the same mix
-    // of load windows.
-    let timed_once = |shard_by: ShardBy, run_ahead: usize| {
-        let config = StreamConfig {
-            shard_by,
-            shards: 4,
-            run_ahead,
-            ..StreamConfig::default()
-        };
-        let mut engine =
-            ShardedEngine::with_config(data.table.schema().clone(), discovered.to_vec(), config);
-        let start = Instant::now();
-        for chunk in &chunks {
-            black_box(engine.submit(chunk.iter().cloned()).expect("ops are valid"));
-        }
-        black_box(engine.flush());
-        let rate = ops.len() as f64 / start.elapsed().as_secs_f64();
-        black_box(engine.ledger().live_count());
-        rate
-    };
-    let coord_legs: [(ShardBy, usize); 3] =
-        [(ShardBy::Rule, 0), (ShardBy::Key, 0), (ShardBy::Key, 4)];
-    for (shard_by, run_ahead) in coord_legs {
-        timed_once(shard_by, run_ahead); // warm every leg before any timing
-    }
-    let mut coord_best = [0.0f64; 3];
-    for rep in 0..7 {
-        let order: Vec<usize> = if rep % 2 == 0 {
-            (0..3).collect()
-        } else {
-            (0..3).rev().collect()
-        };
-        for leg in order {
-            let (shard_by, run_ahead) = coord_legs[leg];
-            coord_best[leg] = coord_best[leg].max(timed_once(shard_by, run_ahead));
-        }
-    }
-    let [rule_x4_multi, key_x4_multi, key_x4_multi_pipe] = coord_best;
-    let best_key_multi = key_x4_multi.max(key_x4_multi_pipe);
-    let overhead_vs_rule = (rule_x4_multi - best_key_multi) / rule_x4_multi * 100.0;
-    println!(
-        "  coordination ({} discovered rules, 4 workers both axes): rule {rule_x4_multi:>9.0} \
-         ops/s vs key {key_x4_multi:>9.0} (run-ahead 4: {key_x4_multi_pipe:>9.0})",
-        discovered.len()
-    );
-    println!(
-        "  key ×4 coordination overhead vs rule ×4: {overhead_vs_rule:+.2}% \
-         (1-core acceptance bound 15%; interleaved best-of-7 legs; residual gap is the \
-         cache cost of spreading every rule's state over 4 timeslicing workers — \
-         ≥2× single-rule scaling expected on multi-core hosts)"
-    );
-    format!(
-        "{{\n    \"rows\": {rows},\n    \"ops\": {},\n    \"cores\": {cores},\n    \
-         \"single_rule\": {{\n      \"single_ops_per_sec\": {single:.0},\n      \
-         \"rule_mode_x4_ops_per_sec\": {rule_x4_heavy:.0},\n      \"key_mode_ops_per_sec\": \
-         {{ \"x1\": {:.0}, \"x2\": {:.0}, \"x4\": {key_x4:.0}, \"x4_run_ahead_4\": \
-         {key_x4_pipelined:.0} }}\n    }},\n    \"coordination\": {{\n      \
-         \"rule_count\": {},\n      \"rule_mode_x4_ops_per_sec\": {rule_x4_multi:.0},\n      \
-         \"key_mode_x4_ops_per_sec\": {key_x4_multi:.0},\n      \
-         \"key_mode_x4_run_ahead_4_ops_per_sec\": {key_x4_multi_pipe:.0},\n      \
-         \"key_x4_overhead_vs_rule_pct\": {overhead_vs_rule:.3}\n    }},\n    \
-         \"claim\": \"rule-granular sharding clamps a single heavy rule to one worker; \
-         key-granular sharding hashes its blocking keys over all workers and targets >=2x \
-         rule mode at 4 shards on a multi-core host. On a 1-core container every extra \
-         worker is pure timeslicing, so the acceptance figure is coordination overhead \
-         measured on the multi-rule workload where both axes run 4 workers (interleaved \
-         best-of-7 legs), target within 15% of rule x4. Runs land in the 7-21% band \
-         depending on ambient load; anything above 15% is the cache cost of replicating \
-         every rule's state across 4 timeslicing workers (rule mode keeps one hot worker \
-         per rule), a cost that vanishes when workers get real cores.\"\n  }}",
-        ops.len(),
-        key_rates[0].1,
-        key_rates[1].1,
-        discovered.len(),
-    )
-}
-
 /// The machine-readable artifact: ingest + churn throughput plus the
 /// full end-of-run metrics registry, as one JSON document. The metrics
 /// section is exactly what `anmat stream --metrics-out` writes, so
@@ -720,7 +486,6 @@ fn write_fig6_json(
     rules: &[Pfd],
     churn: (f64, f64, f64, f64),
     reclaim_churn: &str,
-    key_sweep: &str,
 ) {
     obs::Recorder::enable();
     let ids = id_rows_of(&data.table);
@@ -739,7 +504,6 @@ fn write_fig6_json(
          \"churn_ops_per_sec\": {{\n    \"uninstrumented\": {off:.0},\n    \
          \"instrumented\": {on:.0},\n    \"overhead_pct\": {overhead:.3},\n    \
          \"overhead_raw_pct\": {raw:.3}\n  }},\n  \"reclaim_churn\": {reclaim_churn},\n  \
-         \"key_shard_sweep\": {key_sweep},\n  \
          \"metrics\": {}\n}}\n",
         ids.len(),
         snapshot.to_json()
@@ -763,10 +527,7 @@ fn bench(c: &mut Criterion) {
     let small = dataset(10_000);
     let churn_rates = recorder_overhead_artifact(&small.0, &small.1);
     let reclaim_churn = reclaim_churn_artifact(&small.0, &small.1, 100_000);
-    let key_sweep = key_shard_sweep_artifact(&small.0, &small.1, 10_000);
-    write_fig6_json(&small.0, &small.1, churn_rates, &reclaim_churn, &key_sweep);
-    shard_sweep_artifact(&small.0, &small.1, 10_000);
-    shard_sweep_artifact(&big.0, &big.1, 100_000);
+    write_fig6_json(&small.0, &small.1, churn_rates, &reclaim_churn);
     for (rows, (data, rules)) in [(10_000usize, &small), (100_000, &big)] {
         let prebuilt = rows_of(&data.table);
         let mut g = c.benchmark_group("fig6_streaming");
@@ -813,46 +574,6 @@ fn bench(c: &mut Criterion) {
                 black_box(engine.ledger().live_count())
             });
         });
-        // The shard sweep on the same churn mix: scaling is bounded by
-        // min(shards, rules, cores) — see the artifact header for the
-        // host's figures.
-        for shards in [1usize, 2, 4, 8] {
-            g.bench_with_input(
-                BenchmarkId::new("stream_churn_sharded", format!("{rows}r/{shards}s")),
-                &ops,
-                |b, ops| {
-                    b.iter(|| {
-                        let mut engine =
-                            ShardedEngine::new(data.table.schema().clone(), rules.to_vec(), shards);
-                        engine.apply(ops.iter().cloned()).expect("ops are valid");
-                        black_box(engine.ledger().live_count())
-                    });
-                },
-            );
-        }
-        // The key axis on the same mix, pipelined: with the full rule
-        // set this doubles as a coordination-overhead regression check
-        // (key mode routes every op through the coordinator's keyers).
-        g.bench_with_input(
-            BenchmarkId::new("stream_churn_key_sharded", format!("{rows}r/4s")),
-            &ops,
-            |b, ops| {
-                b.iter(|| {
-                    let mut engine = ShardedEngine::with_config(
-                        data.table.schema().clone(),
-                        rules.to_vec(),
-                        StreamConfig {
-                            shard_by: ShardBy::Key,
-                            shards: 4,
-                            run_ahead: 4,
-                            ..StreamConfig::default()
-                        },
-                    );
-                    engine.apply(ops.iter().cloned()).expect("ops are valid");
-                    black_box(engine.ledger().live_count())
-                });
-            },
-        );
         g.throughput(Throughput::Elements(rows as u64));
         // The naive alternative: re-run batch detection after each of 100
         // appends of rows/100 (full per-append batch re-detection at 1:1

@@ -20,7 +20,6 @@ use crate::inverted::{sort_rhs_counts, EntryStats};
 use anmat_pattern::{CompiledConstrained, ConstrainedPattern, PatternEngine};
 use anmat_table::{RowId, RowIdRemap, Table, ValueId, ValuePool};
 use fxhash::FxHashMap;
-use std::sync::Arc;
 
 /// Rows grouped by constrained-capture key.
 #[derive(Debug)]
@@ -315,10 +314,9 @@ pub enum Placement {
 /// variable detection).
 #[derive(Debug)]
 pub struct BlockingPartition {
-    /// The keyer, pre-compiled to span bytecode and shared (`Arc`) so
-    /// sharded engines compile each rule once; `None` blocks on the
+    /// The keyer, pre-compiled to span bytecode; `None` blocks on the
     /// whole LHS value.
-    keyer: Option<Arc<CompiledConstrained>>,
+    keyer: Option<CompiledConstrained>,
     /// Which execution tier evaluates cache misses: fused-capable (the
     /// default), the forced VM, or the AST interpreter (the measured
     /// baseline). Either way extraction runs at most once per distinct
@@ -362,23 +360,8 @@ impl BlockingPartition {
     /// execution tier (compiling the keyer here).
     #[must_use]
     pub fn with_engine(q: Option<ConstrainedPattern>, engine: PatternEngine) -> BlockingPartition {
-        BlockingPartition::with_shared(
-            q.map(|q| Arc::new(CompiledConstrained::compile(&q))),
-            engine,
-        )
-    }
-
-    /// An empty partition over an already-compiled, shared keyer — the
-    /// sharded engines' path, where each rule's keyer is compiled once
-    /// and every replica holds an `Arc` (so `pattern.compile_ns` counts
-    /// one compile regardless of `--shards N`).
-    #[must_use]
-    pub fn with_shared(
-        keyer: Option<Arc<CompiledConstrained>>,
-        engine: PatternEngine,
-    ) -> BlockingPartition {
         BlockingPartition {
-            keyer,
+            keyer: q.map(|q| CompiledConstrained::compile(&q)),
             engine,
             key_buf: String::new(),
             blocks: FxHashMap::default(),
@@ -403,6 +386,20 @@ impl BlockingPartition {
             .then(|| ValuePool::intern(key_buf))
     }
 
+    /// The memoized key of a non-null `lhs`: one lookup per call on a
+    /// keyed partition, one extraction per distinct uncached value.
+    /// `None` means the value does not match the pattern.
+    fn key_of(&mut self, lhs: ValueId) -> Option<ValueId> {
+        let Some(q) = &self.keyer else {
+            return Some(lhs);
+        };
+        self.key_lookups += 1;
+        *self.key_cache.entry(lhs).or_insert_with(|| {
+            self.key_evals += 1;
+            BlockingPartition::derive_key(q, self.engine, &mut self.key_buf, lhs)
+        })
+    }
+
     /// Insert one row (interned cells). Appends (nondecreasing `RowId`)
     /// are `O(1)` amortized; re-inserting an older id — an update
     /// landing back on its slot — pays the affected block's shift cost.
@@ -411,17 +408,7 @@ impl BlockingPartition {
             insert_sorted(&mut self.null_rows, row);
             return Placement::NullLhs;
         }
-        let key = match &self.keyer {
-            Some(q) => {
-                self.key_lookups += 1;
-                *self.key_cache.entry(lhs).or_insert_with(|| {
-                    self.key_evals += 1;
-                    BlockingPartition::derive_key(q, self.engine, &mut self.key_buf, lhs)
-                })
-            }
-            None => Some(lhs),
-        };
-        match key {
+        match self.key_of(lhs) {
             Some(k) => {
                 self.blocks.entry(k).or_default().push(row, rhs);
                 Placement::Block(k)
@@ -445,17 +432,7 @@ impl BlockingPartition {
         // The key cache is per distinct LHS value, so the entry from the
         // row's insert is still warm; a miss (possible only if the caller
         // never inserted this value) re-derives it.
-        let key = match &self.keyer {
-            Some(q) => {
-                self.key_lookups += 1;
-                *self.key_cache.entry(lhs).or_insert_with(|| {
-                    self.key_evals += 1;
-                    BlockingPartition::derive_key(q, self.engine, &mut self.key_buf, lhs)
-                })
-            }
-            None => Some(lhs),
-        };
-        match key {
+        match self.key_of(lhs) {
             Some(k) => {
                 if let Some(block) = self.blocks.get_mut(&k) {
                     block.remove(row);
@@ -495,32 +472,6 @@ impl BlockingPartition {
         }
     }
 
-    /// Derive (and memoize) the blocking key for `lhs` without placing
-    /// any row — the coordinator-side *routing* hook for key-granular
-    /// sharding. Returns `None` for a null LHS or a non-matching value
-    /// (no block ⇒ nothing to route); a partition without a keyer blocks
-    /// on the whole value, so any non-null LHS routes to itself.
-    ///
-    /// Counting matches the lazy insert path exactly: one lookup per
-    /// call on a keyed partition, one eval per distinct uncached LHS —
-    /// so a router that sees the same LHS sequence as a single-threaded
-    /// partition reports identical `key_evals`.
-    pub fn key_for(&mut self, lhs: ValueId) -> Option<ValueId> {
-        if lhs.is_null() {
-            return None;
-        }
-        match &self.keyer {
-            Some(q) => {
-                self.key_lookups += 1;
-                *self.key_cache.entry(lhs).or_insert_with(|| {
-                    self.key_evals += 1;
-                    BlockingPartition::derive_key(q, self.engine, &mut self.key_buf, lhs)
-                })
-            }
-            None => Some(lhs),
-        }
-    }
-
     /// Drop every key-cache entry whose LHS id *or* cached derived-key
     /// id satisfies `dead`, leaving counters and blocks untouched.
     ///
@@ -536,64 +487,8 @@ impl BlockingPartition {
             .retain(|&lhs, key| !dead(lhs) && !key.is_some_and(&mut dead));
     }
 
-    /// Insert one row under an externally derived `key`, bypassing the
-    /// keyer and the key cache entirely — the worker-side half of the
-    /// key-granular sharding split, where the coordinator has already
-    /// paid for (and memoized) the key via [`BlockingPartition::key_for`]
-    /// and ships it with the op. Performs zero pattern work, so
-    /// [`BlockingPartition::key_evals`] stays 0 on pure key-fed
-    /// partitions and the global eval tally matches single-threaded runs.
-    pub fn insert_with_key(&mut self, row: RowId, key: ValueId, rhs: ValueId) {
-        self.blocks.entry(key).or_default().push(row, rhs);
-    }
-
-    /// Remove one row from the block under an externally derived `key` —
-    /// the exact inverse of [`BlockingPartition::insert_with_key`].
-    /// Empty blocks are dropped, mirroring [`BlockingPartition::remove`].
-    pub fn remove_with_key(&mut self, row: RowId, key: ValueId) {
-        if let Some(block) = self.blocks.get_mut(&key) {
-            block.remove(row);
-            if block.is_empty() {
-                self.blocks.remove(&key);
-            }
-        }
-    }
-
-    /// Move out every block whose key satisfies `pred` — the partition's
-    /// half of the key-range migration protocol (a sharded engine
-    /// reassigning a hash range of keys to another worker). The extracted
-    /// `(key, block)` pairs re-install losslessly via
-    /// [`BlockingPartition::install_blocks`]; counters and the key cache
-    /// stay put (migration performs no pattern work, and routing state
-    /// lives with the coordinator).
-    pub fn extract_blocks_if(
-        &mut self,
-        mut pred: impl FnMut(ValueId) -> bool,
-    ) -> Vec<(ValueId, KeyBlock)> {
-        let mut out = Vec::new();
-        self.blocks.retain(|&key, block| {
-            if pred(key) {
-                out.push((key, std::mem::take(block)));
-                false
-            } else {
-                true
-            }
-        });
-        out
-    }
-
-    /// Install blocks previously moved out by
-    /// [`BlockingPartition::extract_blocks_if`]. Keys must not collide
-    /// with blocks already present (key ranges are disjoint across
-    /// workers by construction); a collision replaces the resident block.
-    pub fn install_blocks(&mut self, blocks: impl IntoIterator<Item = (ValueId, KeyBlock)>) {
-        for (key, block) in blocks {
-            self.blocks.insert(key, block);
-        }
-    }
-
-    /// Iterate the keys of all live blocks (arbitrary order) — the census
-    /// hook key-granular rebalancing uses to weigh hash ranges.
+    /// Iterate the keys of all live blocks (arbitrary order) — the ids a
+    /// reclamation sweep must keep alive.
     pub fn block_keys(&self) -> impl Iterator<Item = ValueId> + '_ {
         self.blocks.keys().copied()
     }

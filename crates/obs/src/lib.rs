@@ -24,7 +24,8 @@
 //! Metrics deliberately never feed back into the code they observe:
 //! recording cannot fail, cannot block, and returns no value a caller
 //! could branch on, so an instrumented run is bit-for-bit equivalent to
-//! an uninstrumented one (the shard-equivalence suite asserts this).
+//! an uninstrumented one (`anmat-stream`'s equivalence suite asserts
+//! this).
 //!
 //! # Histograms
 //!
@@ -37,10 +38,11 @@
 //!
 //! # Naming
 //!
-//! Metric names are dot-separated families: `pool.*`, `table.*`,
-//! `index.*`, `engine.*`, `shard.*` (with per-shard instances like
-//! `shard.3.queue_depth`), and `ledger.*`. A name maps to exactly one
-//! metric kind; re-registering under a different kind panics.
+//! Metric names are dot-separated families, one per layer: `ingest.*`,
+//! `pool.*`, `table.*`, `pattern.*`, `memo.*`, `index.*`, `engine.*`,
+//! `ledger.*`, `snapshot.*`, and the CLI's own `cli.*`. A name maps to
+//! exactly one metric kind; re-registering under a different kind
+//! panics.
 //!
 //! # Example
 //!

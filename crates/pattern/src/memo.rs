@@ -128,26 +128,6 @@ impl MatchMemo {
         self.lookups
     }
 
-    /// Move out every cached entry whose id satisfies `pred` — the
-    /// key-migration hook for sharded engines that partition work by
-    /// hashed value id and occasionally reassign a hash range to another
-    /// worker. The extracted `(id, matched?)` pairs can be re-installed
-    /// elsewhere with [`MatchMemo::install`]; the eval/lookup counters
-    /// stay put on both sides (they record where work *happened*, and a
-    /// migration performs none).
-    pub fn extract_if(&mut self, mut pred: impl FnMut(u32) -> bool) -> Vec<(u32, bool)> {
-        let mut out = Vec::new();
-        self.cache.retain(|&id, &mut hit| {
-            if pred(id) {
-                out.push((id, hit));
-                false
-            } else {
-                true
-            }
-        });
-        out
-    }
-
     /// Drop every cached entry whose id satisfies `pred`, without
     /// touching the eval/lookup counters.
     ///
@@ -158,16 +138,6 @@ impl MatchMemo {
     /// ids at the same epoch barrier that reclaims them.
     pub fn purge(&mut self, mut pred: impl FnMut(u32) -> bool) {
         self.cache.retain(|&id, _| !pred(id));
-    }
-
-    /// Install entries previously moved out by [`MatchMemo::extract_if`]
-    /// (or otherwise known-correct `(id, matched?)` pairs for this
-    /// memo's pattern). Counts no evaluations — the work was already
-    /// paid for wherever the entries were first computed.
-    pub fn install(&mut self, entries: impl IntoIterator<Item = (u32, bool)>) {
-        for (id, hit) in entries {
-            self.cache.insert(id, hit);
-        }
     }
 
     /// Number of distinct ids memoized.

@@ -35,7 +35,7 @@ use anmat_core::{
 };
 use anmat_index::{BlockingPartition, KeyBlock, Placement};
 use anmat_obs as obs;
-use anmat_pattern::{CompiledConstrained, CompiledPattern, MatchMemo, PatternEngine};
+use anmat_pattern::{CompiledPattern, MatchMemo, PatternEngine};
 use anmat_table::{
     ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, TableSnapshot, Value,
     ValueId, ValuePool,
@@ -44,7 +44,7 @@ use fxhash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// Engine thresholds (the drift monitor's discovery-style knobs) plus
-/// the shard count the sharded engine and the CLI plumb through.
+/// the compaction, reclamation and pattern-tier modes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Rows a rule must match before drift is judged.
@@ -52,10 +52,6 @@ pub struct StreamConfig {
     /// Allowed violation ratio before a rule counts as drifted (mirrors
     /// `DiscoveryConfig::max_violation_ratio`).
     pub max_violation_ratio: f64,
-    /// Worker shards for [`ShardedEngine`](crate::ShardedEngine)
-    /// (`StreamEngine` itself is always single-threaded; `1` means "no
-    /// extra workers"). Clamped to the rule count at engine build.
-    pub shards: usize,
     /// Tombstone ratio (`dead slots / total slots`) above which the
     /// engine compacts automatically at the end of a mutation entry
     /// point (never mid-batch: op batches are validated against one id
@@ -69,19 +65,6 @@ pub struct StreamConfig {
     /// counts are identical across tiers; only the per-distinct-value
     /// evaluation cost differs.
     pub pattern_engine: PatternEngine,
-    /// Which axis the sharded engine partitions work on: whole rules
-    /// (the default — each worker owns a disjoint rule subset) or hashed
-    /// blocking keys (each worker owns a disjoint key range of *every*
-    /// rule, so a single heavy rule spreads across all cores). Ignored
-    /// by `StreamEngine`.
-    pub shard_by: ShardBy,
-    /// Cross-batch pipelining window for the sharded engine: how many
-    /// submitted batches may be in flight (fanned out but not yet
-    /// merged) before the coordinator merges the oldest. `0` (the
-    /// default) restores the classic per-batch barrier. Merging is
-    /// always in submission order, so event order is unaffected.
-    /// Ignored by `StreamEngine`.
-    pub run_ahead: usize,
     /// Tie string reclamation to the compaction epochs: the engine
     /// enables batch-granular [`ValuePool`] refcounting on its table and,
     /// at the end of every compaction barrier, frees interned strings no
@@ -89,24 +72,11 @@ pub struct StreamConfig {
     /// state. `false` (the default) keeps the classic append-only pool
     /// behaviour — nothing is ever freed. Reclamation is deferred (never
     /// skipped) while an [`EngineSnapshot`] is alive, since snapshots
-    /// resolve ids against the shared pool.
+    /// resolve ids against the shared pool. Opting in asserts that no
+    /// other pool user in the process resolves a string after this
+    /// engine's rows stop referencing it (see the safety contract of
+    /// [`ValuePool::reclaim`]).
     pub reclaim: bool,
-}
-
-/// The sharded engine's work-partitioning axis (see
-/// [`StreamConfig::shard_by`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardBy {
-    /// Partition by rule: worker `w` owns a disjoint subset of rules and
-    /// evaluates them over a full table replica. Zero routing cost, but
-    /// one heavy rule is capped at one core.
-    #[default]
-    Rule,
-    /// Partition by blocking key: every worker holds every rule, but only
-    /// processes tuples whose derived key (or constant-tuple LHS value)
-    /// hashes into the worker's slot range. The coordinator derives and
-    /// ships keys, so pattern work is still paid once per distinct value.
-    Key,
 }
 
 impl Default for StreamConfig {
@@ -114,11 +84,8 @@ impl Default for StreamConfig {
         StreamConfig {
             min_support: 8,
             max_violation_ratio: 0.3,
-            shards: 1,
             compact_ratio: 0.0,
             pattern_engine: PatternEngine::Fused,
-            shard_by: ShardBy::Rule,
-            run_ahead: 0,
             reclaim: false,
         }
     }
@@ -145,22 +112,12 @@ pub struct CompactionStats {
     pub reclaimed_slots: usize,
 }
 
-/// Should a table with this tombstone census compact under `ratio`?
-/// Shared by both engines so their auto-compaction points coincide —
-/// part of the sharded determinism contract.
-pub(crate) fn should_compact(ratio: f64, total_slots: usize, live_slots: usize) -> bool {
-    let dead = total_slots - live_slots;
-    ratio > 0.0 && dead > 0 && dead as f64 >= ratio * total_slots as f64
-}
-
 /// One violation assertion change produced by a rule's incremental
-/// state. Rule processing emits deltas into a [`DeltaSink`]; *applying*
-/// them to the refcounting [`ViolationLedger`] (which dedupes across
-/// rules) is the owning engine's job — inline for `StreamEngine`, at the
-/// merge step for `ShardedEngine`. This split is what lets rule state
-/// live on worker threads while the ledger stays in one place.
+/// state. Rule processing emits deltas into a [`DeltaSink`]; the engine
+/// then applies them to the refcounting [`ViolationLedger`] (which
+/// dedupes across rules), so rule state never touches the ledger.
 #[derive(Debug, Clone)]
-pub(crate) enum Delta {
+enum Delta {
     /// The rule now asserts this violation.
     Create(Violation),
     /// The rule withdraws this (previously asserted) violation.
@@ -171,10 +128,10 @@ pub(crate) enum Delta {
 /// counts the drift monitor needs (counted per rule, independent of the
 /// ledger's cross-rule refcounting).
 #[derive(Debug, Default)]
-pub(crate) struct DeltaSink {
-    pub(crate) deltas: Vec<Delta>,
-    pub(crate) created: usize,
-    pub(crate) retracted: usize,
+struct DeltaSink {
+    deltas: Vec<Delta>,
+    created: usize,
+    retracted: usize,
 }
 
 impl DeltaSink {
@@ -191,86 +148,52 @@ impl DeltaSink {
 
 /// Replay a delta sequence into the ledger, collecting the events the
 /// ledger actually emits (refcount-only changes emit nothing).
-pub(crate) fn apply_deltas(
-    ledger: &mut ViolationLedger,
-    deltas: Vec<Delta>,
-    events: &mut Vec<LedgerEvent>,
-) {
+fn apply_deltas(ledger: &mut ViolationLedger, deltas: Vec<Delta>, events: &mut Vec<LedgerEvent>) {
     for delta in deltas {
-        match delta {
-            Delta::Create(v) => {
-                if let Some(ev) = ledger.create(v) {
-                    events.push(ev);
-                }
-            }
-            Delta::Retract(v) => {
-                if let Some(ev) = ledger.retract(&v) {
-                    events.push(ev);
-                }
-            }
-        }
-    }
-}
-
-/// The table-shape of one [`RowOp`], for batch pre-validation.
-pub(crate) enum OpShape {
-    Insert { arity: usize },
-    Delete { row: RowId },
-    Update { row: RowId, arity: usize },
-}
-
-impl OpShape {
-    pub(crate) fn of(op: &RowOp) -> OpShape {
-        match op {
-            RowOp::Insert(cells) => OpShape::Insert { arity: cells.len() },
-            RowOp::Delete(row) => OpShape::Delete { row: *row },
-            RowOp::Update(row, cells) => OpShape::Update {
-                row: *row,
-                arity: cells.len(),
-            },
-        }
+        let event = match delta {
+            Delta::Create(v) => ledger.create(v),
+            Delta::Retract(v) => ledger.retract(&v),
+        };
+        events.extend(event);
     }
 }
 
 /// Validate a whole op batch against a simulation of `table`'s live set
 /// (arity of every insert/update, liveness of every addressed row *at
 /// its point in the sequence*) before any op executes — the atomicity
-/// guarantee both engines give: a malformed op-log leaves the engine
-/// untouched.
-pub(crate) fn validate_shapes(
-    table: &Table,
-    shapes: impl IntoIterator<Item = OpShape>,
-) -> Result<(), TableError> {
+/// guarantee [`StreamEngine::apply`] gives: a malformed op-log leaves
+/// the engine untouched.
+fn validate_ops(table: &Table, ops: &[RowOp]) -> Result<(), TableError> {
     let arity = table.schema().arity();
     let mut live: Vec<bool> = (0..table.row_count()).map(|r| table.is_live(r)).collect();
-    for shape in shapes {
-        match shape {
-            OpShape::Insert { arity: found } => {
-                if found != arity {
+    for op in ops {
+        match op {
+            RowOp::Insert(cells) => {
+                if cells.len() != arity {
                     return Err(TableError::ArityMismatch {
                         row: live.len(),
-                        found,
+                        found: cells.len(),
                         expected: arity,
                     });
                 }
                 live.push(true);
             }
-            OpShape::Delete { row } => {
-                if !live.get(row).copied().unwrap_or(false) {
-                    return Err(TableError::NoSuchRow { row });
+            RowOp::Delete(row) => {
+                if !live.get(*row).copied().unwrap_or(false) {
+                    return Err(TableError::NoSuchRow { row: *row });
                 }
-                live[row] = false;
+                live[*row] = false;
             }
-            OpShape::Update { row, arity: found } => {
-                if found != arity {
+            RowOp::Update(row, cells) => {
+                if cells.len() != arity {
                     return Err(TableError::ArityMismatch {
-                        row,
-                        found,
+                        row: *row,
+                        found: cells.len(),
                         expected: arity,
                     });
                 }
-                if !live.get(row).copied().unwrap_or(false) {
-                    return Err(TableError::NoSuchRow { row });
+                if !live.get(*row).copied().unwrap_or(false) {
+                    return Err(TableError::NoSuchRow { row: *row });
                 }
             }
         }
@@ -282,10 +205,9 @@ pub(crate) fn validate_shapes(
 #[derive(Debug)]
 struct ConstantTuple {
     /// The LHS pattern compiled to bytecode (`None` = wildcard: every
-    /// non-null LHS), shared via `Arc` so a rule's programs are compiled
-    /// exactly once however many engines or shards hold its state. The
-    /// source AST rides inside for the interpreter tier.
-    compiled: Option<Arc<CompiledPattern>>,
+    /// non-null LHS). The source AST rides inside for the interpreter
+    /// tier.
+    compiled: Option<CompiledPattern>,
     /// Per-`(pattern, ValueId)` match memo: the pattern is evaluated at
     /// most once per distinct LHS value, not once per row.
     memo: MatchMemo,
@@ -328,7 +250,7 @@ struct VariableTuple {
 /// 4. **off-window majority churn**: a majority row beyond the witness
 ///    window arrives or leaves — nothing moves (`O(1)`).
 #[derive(Debug, Default)]
-pub(crate) struct BlockState {
+struct BlockState {
     majority: Option<ValueId>,
     witnesses: Vec<RowId>,
     violations: Vec<Violation>,
@@ -458,10 +380,7 @@ impl ConstantTuple {
 impl VariableTuple {
     /// Post-placement insert transition: `row` has just joined `key`'s
     /// block; update the block's asserted majority/witness/violation
-    /// context. Shared verbatim between rule-granular processing (where
-    /// the partition derived `key` itself) and key-granular processing
-    /// (where the coordinator shipped it) — one transition body is what
-    /// keeps the two modes bit-for-bit identical.
+    /// context.
     #[allow(clippy::too_many_arguments)]
     fn insert_transition(
         &mut self,
@@ -519,8 +438,7 @@ impl VariableTuple {
 
     /// Post-placement removal transition: `row` has just left `key`'s
     /// block — the exact inverse of
-    /// [`VariableTuple::insert_transition`], shared between both
-    /// sharding modes the same way.
+    /// [`VariableTuple::insert_transition`].
     #[allow(clippy::too_many_arguments)]
     fn removal_transition(
         &mut self,
@@ -584,14 +502,12 @@ enum TupleState {
 
 /// One seeded rule with its resolved columns and per-tuple state.
 ///
-/// Rule state is fully self-contained (no ledger, no drift counters):
+/// Rule state is self-contained (no ledger, no drift counters):
 /// [`RuleState::process_insert`] / [`RuleState::process_removal`] read a
-/// table and emit deltas, which is what lets a rule live on any worker
-/// thread — and migrate between them on rebalance — while the engines
-/// own the shared bookkeeping.
+/// table and emit deltas, and the engine owns the shared bookkeeping.
 #[derive(Debug)]
-pub(crate) struct RuleState {
-    pub(crate) pfd: Pfd,
+struct RuleState {
+    pfd: Pfd,
     /// `(lhs, rhs)` column indexes; `None` if the schema lacks either
     /// attribute (the rule is inert, exactly like batch detection).
     cols: Option<(usize, usize)>,
@@ -601,153 +517,10 @@ pub(crate) struct RuleState {
     engine: PatternEngine,
 }
 
-/// The deltas one *owned* tableau tuple produced for one op under
-/// key-granular processing, tagged with the tuple's tableau index.
-///
-/// In key mode a single rule's work for one row can land on several
-/// workers (one per tuple the row's keys hash to), so deltas come back
-/// per `(rule, tuple)` instead of per rule; the coordinator sorts the
-/// merged entries by that pair to reproduce the single-threaded sink
-/// order, then folds the `matched` bits and violation counts into one
-/// drift tally per rule.
-#[derive(Debug)]
-pub(crate) struct TupleDeltas {
-    /// Tableau index of the emitting tuple — when several consecutive
-    /// owned tuples fuse into one entry, the first one's index (the
-    /// fused deltas stay in tableau order internally, so sorting merged
-    /// entries by this tag still reproduces the single-threaded order).
-    pub(crate) tuple: usize,
-    /// Did the row's LHS match this tuple (ORed across fused tuples)?
-    pub(crate) matched: bool,
-    /// The violation deltas, in single-threaded emission order.
-    pub(crate) sink: DeltaSink,
-}
-
-impl TupleDeltas {
-    /// Fold one more owned tuple's output into the running entry —
-    /// legal only while no *other* worker can emit an entry between the
-    /// fused tuples (the callers close the run at any tuple another
-    /// worker owns).
-    fn absorb(pending: &mut Option<TupleDeltas>, tuple: usize, matched: bool, sink: DeltaSink) {
-        match pending {
-            Some(p) => {
-                p.matched |= matched;
-                p.sink.created += sink.created;
-                p.sink.retracted += sink.retracted;
-                if p.sink.deltas.is_empty() {
-                    p.sink.deltas = sink.deltas;
-                } else {
-                    p.sink.deltas.extend(sink.deltas);
-                }
-            }
-            None => {
-                *pending = Some(TupleDeltas {
-                    tuple,
-                    matched,
-                    sink,
-                });
-            }
-        }
-    }
-
-    /// Close the current fusion run (another worker may own the next
-    /// tuple, so its entry must be sortable in between).
-    fn flush(pending: &mut Option<TupleDeltas>, out: &mut Vec<TupleDeltas>) {
-        if let Some(p) = pending.take() {
-            out.push(p);
-        }
-    }
-}
-
-/// One tuple's extractable per-key state — the payload of the key-range
-/// migration protocol (see [`RuleState::extract_keys`]).
-#[derive(Debug)]
-pub(crate) enum TupleKeySlice {
-    /// Constant tuple: `(lhs id, matched?)` memo entries.
-    Constant(Vec<(u32, bool)>),
-    /// Variable tuple: `(key, block, asserted context)` triples.
-    Variable(Vec<(ValueId, KeyBlock, BlockState)>),
-}
-
-impl TupleKeySlice {
-    /// Is there anything to migrate in this slice?
-    pub(crate) fn is_empty(&self) -> bool {
-        match self {
-            TupleKeySlice::Constant(entries) => entries.is_empty(),
-            TupleKeySlice::Variable(entries) => entries.is_empty(),
-        }
-    }
-}
-
-/// One rule's per-tuple compiled programs — compiled exactly once per
-/// rule and handed around as `Arc`s, so seeding rule state (on any
-/// engine, any shard, any rebalance) never recompiles and
-/// `pattern.compile_ns` counts each rule once regardless of `--shards N`.
-#[derive(Debug, Clone)]
-pub(crate) struct CompiledRule {
-    programs: Vec<TupleProgram>,
-}
-
-/// The compiled program of one tableau tuple (`None` = wildcard LHS).
-#[derive(Debug, Clone)]
-enum TupleProgram {
-    Constant(Option<Arc<CompiledPattern>>),
-    Variable(Option<Arc<CompiledConstrained>>),
-}
-
-impl CompiledRule {
-    /// The compiled key extractors of this rule's *variable* tuples, in
-    /// tableau order (`None` = wildcard LHS, which blocks on the whole
-    /// value). The coordinator of a key-granular sharded engine builds
-    /// its routing memos from these, sharing the same `Arc`s the worker
-    /// states hold.
-    pub(crate) fn variable_keyers(&self) -> Vec<Option<Arc<CompiledConstrained>>> {
-        self.programs
-            .iter()
-            .filter_map(|p| match p {
-                TupleProgram::Variable(keyer) => Some(keyer.clone()),
-                TupleProgram::Constant(_) => None,
-            })
-            .collect()
-    }
-
-    /// Compile every tuple's LHS program for `pfd`.
-    pub(crate) fn compile(pfd: &Pfd) -> CompiledRule {
-        let programs = pfd
-            .tableau
-            .iter()
-            .map(|t| match (&t.rhs, &t.lhs) {
-                (RhsCell::Constant(_), LhsCell::Pattern(q)) => {
-                    TupleProgram::Constant(Some(Arc::new(CompiledPattern::compile(q.embedded()))))
-                }
-                (RhsCell::Constant(_), LhsCell::Wildcard) => TupleProgram::Constant(None),
-                (RhsCell::Wildcard, LhsCell::Pattern(q)) => {
-                    TupleProgram::Variable(Some(Arc::new(CompiledConstrained::compile(q))))
-                }
-                (RhsCell::Wildcard, LhsCell::Wildcard) => TupleProgram::Variable(None),
-            })
-            .collect();
-        CompiledRule { programs }
-    }
-}
-
 impl RuleState {
-    /// Seed a rule, compiling its programs here (the single-engine
-    /// convenience over [`RuleState::seed_shared`]).
-    pub(crate) fn seed(pfd: Pfd, schema: &Schema, engine: PatternEngine) -> RuleState {
-        let compiled = CompiledRule::compile(&pfd);
-        RuleState::seed_shared(pfd, schema, engine, &compiled)
-    }
-
-    /// Seed a rule around already-compiled shared programs — the sharded
-    /// engine's path (compile once on the coordinator, seed on whichever
-    /// worker owns the rule).
-    pub(crate) fn seed_shared(
-        pfd: Pfd,
-        schema: &Schema,
-        engine: PatternEngine,
-        compiled: &CompiledRule,
-    ) -> RuleState {
+    /// Seed a rule: resolve its columns against `schema` and compile
+    /// every tableau tuple's LHS program once, up front.
+    fn seed(pfd: Pfd, schema: &Schema, engine: PatternEngine) -> RuleState {
         let cols = match (
             schema.index_of(&pfd.lhs_attr),
             schema.index_of(&pfd.rhs_attr),
@@ -758,29 +531,23 @@ impl RuleState {
         let tuples = pfd
             .tableau
             .iter()
-            .zip(&compiled.programs)
-            .map(|(t, program)| {
-                let display = match &t.lhs {
-                    LhsCell::Pattern(q) => q.to_string(),
-                    LhsCell::Wildcard => "⊥".to_string(),
+            .map(|t| {
+                let (display, pattern) = match &t.lhs {
+                    LhsCell::Pattern(q) => (q.to_string(), Some(q)),
+                    LhsCell::Wildcard => ("⊥".to_string(), None),
                 };
-                match (&t.rhs, program) {
-                    (RhsCell::Constant(expected), TupleProgram::Constant(c)) => {
-                        TupleState::Constant(ConstantTuple {
-                            compiled: c.clone(),
-                            memo: MatchMemo::new(),
-                            display,
-                            expected: ValuePool::intern(expected),
-                        })
-                    }
-                    (RhsCell::Wildcard, TupleProgram::Variable(keyer)) => {
-                        TupleState::Variable(Box::new(VariableTuple {
-                            partition: BlockingPartition::with_shared(keyer.clone(), engine),
-                            display,
-                            blocks: FxHashMap::default(),
-                        }))
-                    }
-                    _ => unreachable!("CompiledRule::compile mirrors the tableau shape"),
+                match &t.rhs {
+                    RhsCell::Constant(expected) => TupleState::Constant(ConstantTuple {
+                        compiled: pattern.map(|q| CompiledPattern::compile(q.embedded())),
+                        memo: MatchMemo::new(),
+                        display,
+                        expected: ValuePool::intern(expected),
+                    }),
+                    RhsCell::Wildcard => TupleState::Variable(Box::new(VariableTuple {
+                        partition: BlockingPartition::with_engine(pattern.cloned(), engine),
+                        display,
+                        blocks: FxHashMap::default(),
+                    })),
                 }
             })
             .collect();
@@ -800,7 +567,7 @@ impl RuleState {
     /// is a locality optimization (one program, one cache, no per-row
     /// dispatch between evals), never extra work. No-op in interpreted
     /// mode (the baseline keeps the per-row lazy shape).
-    pub(crate) fn prime_batch(&mut self, rows: &[&[ValueId]]) {
+    fn prime_batch(&mut self, rows: &[&[ValueId]]) {
         if self.engine == PatternEngine::Interp {
             return;
         }
@@ -832,12 +599,7 @@ impl RuleState {
     /// causes for this rule. Returns whether the row's LHS matched any
     /// tableau tuple (the drift monitor's denominator bit); inert rules
     /// (missing columns) return `false` without touching the sink.
-    pub(crate) fn process_insert(
-        &mut self,
-        table: &Table,
-        row: RowId,
-        sink: &mut DeltaSink,
-    ) -> bool {
+    fn process_insert(&mut self, table: &Table, row: RowId, sink: &mut DeltaSink) -> bool {
         let Some((lhs, rhs)) = self.cols else {
             return false;
         };
@@ -876,12 +638,7 @@ impl RuleState {
     /// table slot is tombstoned (or overwritten), while the row's cells
     /// are still the ones its violations were built from, so every
     /// retraction is structurally identical to the delta it cancels.
-    pub(crate) fn process_removal(
-        &mut self,
-        table: &Table,
-        row: RowId,
-        sink: &mut DeltaSink,
-    ) -> bool {
+    fn process_removal(&mut self, table: &Table, row: RowId, sink: &mut DeltaSink) -> bool {
         let Some((lhs, rhs)) = self.cols else {
             return false;
         };
@@ -918,257 +675,6 @@ impl RuleState {
         matched
     }
 
-    /// Key-granular [`RuleState::prime_batch`]: warm the constant
-    /// tuples' match memos over the *owned* LHS ids only. Variable
-    /// tuples are skipped entirely — in key mode the coordinator derives
-    /// (and memoizes) blocking keys, so worker partitions never run the
-    /// extractor. Each distinct LHS value is owned by exactly one
-    /// worker, so summing worker memos still yields the single-threaded
-    /// eval count.
-    /// The rule's LHS column in the live schema (`None` = inert rule).
-    /// Key-mode workers consult this to screen rules before any
-    /// per-tuple work.
-    pub(crate) fn lhs_col(&self) -> Option<usize> {
-        self.cols.map(|(lhs, _)| lhs)
-    }
-
-    /// Whether the tableau holds any constant tuple — the only tuple
-    /// kind whose key-mode ownership is decided by the row's LHS id
-    /// rather than a coordinator-shipped route.
-    pub(crate) fn has_constant_tuples(&self) -> bool {
-        self.tuples
-            .iter()
-            .any(|t| matches!(t, TupleState::Constant(_)))
-    }
-
-    pub(crate) fn prime_batch_key(&mut self, rows: &[&[ValueId]], owns: &impl Fn(ValueId) -> bool) {
-        if self.engine == PatternEngine::Interp {
-            return;
-        }
-        let Some((lhs, _)) = self.cols else {
-            return;
-        };
-        for tuple in &mut self.tuples {
-            if let TupleState::Constant(ct) = tuple {
-                if let Some(c) = &ct.compiled {
-                    ct.memo.prime_with(
-                        c,
-                        self.engine,
-                        rows.iter().filter_map(|r| {
-                            let id = r[lhs];
-                            if !owns(id) {
-                                return None;
-                            }
-                            id.as_str().map(|s| (id.raw(), s))
-                        }),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Key-granular [`RuleState::process_insert`]: incorporate one
-    /// arrived row, but only through the tuples this worker *owns* —
-    /// constant tuples whose LHS id satisfies `owns`, and variable
-    /// tuples whose coordinator-derived route key (one `Option<ValueId>`
-    /// per variable tuple, tableau order, in `routes`) satisfies it.
-    /// `None` routes (null or non-matching LHS) are skipped by every
-    /// worker: no block forms, so nothing observable depends on them.
-    ///
-    /// Emits one [`TupleDeltas`] per owned tuple that matched (or
-    /// produced deltas), tagged with the tuple's tableau index — the
-    /// coordinator sorts merged entries by `(rule, tuple)` to reproduce
-    /// the single-threaded sink order exactly.
-    pub(crate) fn process_insert_key(
-        &mut self,
-        table: &Table,
-        row: RowId,
-        routes: &[Option<ValueId>],
-        owns: &impl Fn(ValueId) -> bool,
-        out: &mut Vec<TupleDeltas>,
-    ) {
-        let Some((lhs, rhs)) = self.cols else {
-            return;
-        };
-        let lhs_id = table.cell_id(row, lhs);
-        let rhs_id = table.cell_id(row, rhs);
-        // One slot-map probe covers every constant tuple: they all key
-        // on the same LHS id.
-        let const_owned = owns(lhs_id);
-        // Consecutive owned tuples fuse into one entry; a tuple another
-        // worker owns closes the run (its entry must sort in between),
-        // while tuples nobody processes (`None` routes) fuse across.
-        let mut pending: Option<TupleDeltas> = None;
-        let mut var_idx = 0;
-        for (idx, tuple) in self.tuples.iter_mut().enumerate() {
-            match tuple {
-                TupleState::Constant(ct) => {
-                    if !const_owned {
-                        TupleDeltas::flush(&mut pending, out);
-                        continue;
-                    }
-                    let mut sink = DeltaSink::default();
-                    let matched = ct.process(
-                        table,
-                        &self.pfd,
-                        self.engine,
-                        lhs,
-                        rhs,
-                        lhs_id,
-                        row,
-                        false,
-                        &mut sink,
-                    );
-                    if matched || !sink.deltas.is_empty() {
-                        TupleDeltas::absorb(&mut pending, idx, matched, sink);
-                    }
-                }
-                TupleState::Variable(vt) => {
-                    let route = routes[var_idx];
-                    var_idx += 1;
-                    let Some(key) = route else {
-                        continue;
-                    };
-                    if !owns(key) {
-                        TupleDeltas::flush(&mut pending, out);
-                        continue;
-                    }
-                    vt.partition.insert_with_key(row, key, rhs_id);
-                    let mut sink = DeltaSink::default();
-                    vt.insert_transition(table, &self.pfd, lhs, rhs, rhs_id, key, row, &mut sink);
-                    TupleDeltas::absorb(&mut pending, idx, true, sink);
-                }
-            }
-        }
-        TupleDeltas::flush(&mut pending, out);
-    }
-
-    /// Key-granular [`RuleState::process_removal`] — the exact inverse
-    /// of [`RuleState::process_insert_key`], with the same ownership and
-    /// routing contract (the coordinator derives removal routes from the
-    /// row's *pre-op* cells).
-    pub(crate) fn process_removal_key(
-        &mut self,
-        table: &Table,
-        row: RowId,
-        routes: &[Option<ValueId>],
-        owns: &impl Fn(ValueId) -> bool,
-        out: &mut Vec<TupleDeltas>,
-    ) {
-        let Some((lhs, rhs)) = self.cols else {
-            return;
-        };
-        let lhs_id = table.cell_id(row, lhs);
-        let rhs_id = table.cell_id(row, rhs);
-        let const_owned = owns(lhs_id);
-        let mut pending: Option<TupleDeltas> = None;
-        let mut var_idx = 0;
-        for (idx, tuple) in self.tuples.iter_mut().enumerate() {
-            match tuple {
-                TupleState::Constant(ct) => {
-                    if !const_owned {
-                        TupleDeltas::flush(&mut pending, out);
-                        continue;
-                    }
-                    let mut sink = DeltaSink::default();
-                    let matched = ct.process(
-                        table,
-                        &self.pfd,
-                        self.engine,
-                        lhs,
-                        rhs,
-                        lhs_id,
-                        row,
-                        true,
-                        &mut sink,
-                    );
-                    if matched || !sink.deltas.is_empty() {
-                        TupleDeltas::absorb(&mut pending, idx, matched, sink);
-                    }
-                }
-                TupleState::Variable(vt) => {
-                    let route = routes[var_idx];
-                    var_idx += 1;
-                    let Some(key) = route else {
-                        continue;
-                    };
-                    if !owns(key) {
-                        TupleDeltas::flush(&mut pending, out);
-                        continue;
-                    }
-                    vt.partition.remove_with_key(row, key);
-                    let mut sink = DeltaSink::default();
-                    vt.removal_transition(table, &self.pfd, lhs, rhs, rhs_id, key, row, &mut sink);
-                    TupleDeltas::absorb(&mut pending, idx, true, sink);
-                }
-            }
-        }
-        TupleDeltas::flush(&mut pending, out);
-    }
-
-    /// Move out all per-key state whose key (`ValueId::raw`) satisfies
-    /// `give_up` — one [`TupleKeySlice`] per tuple, tableau order. The
-    /// key-range migration half of key-granular rebalancing: constant
-    /// tuples surrender memo entries (keyed by LHS id), variable tuples
-    /// surrender whole blocks with their asserted
-    /// majority/witness/violation context. Eval counters stay put on
-    /// both sides, so global eval tallies survive any rebalance.
-    pub(crate) fn extract_keys(&mut self, give_up: &dyn Fn(u32) -> bool) -> Vec<TupleKeySlice> {
-        self.tuples
-            .iter_mut()
-            .map(|tuple| match tuple {
-                TupleState::Constant(ct) => TupleKeySlice::Constant(ct.memo.extract_if(give_up)),
-                TupleState::Variable(vt) => {
-                    let blocks = vt.partition.extract_blocks_if(|k| give_up(k.raw()));
-                    TupleKeySlice::Variable(
-                        blocks
-                            .into_iter()
-                            .map(|(key, block)| {
-                                let state = vt.blocks.remove(&key).unwrap_or_default();
-                                (key, block, state)
-                            })
-                            .collect(),
-                    )
-                }
-            })
-            .collect()
-    }
-
-    /// Install per-key state previously moved out by
-    /// [`RuleState::extract_keys`] on another worker. `slices` must be
-    /// tuple-aligned (same tableau, same order) — guaranteed because
-    /// every key-mode worker seeds every rule from the same shared
-    /// [`CompiledRule`].
-    pub(crate) fn install_keys(&mut self, slices: Vec<TupleKeySlice>) {
-        for (tuple, slice) in self.tuples.iter_mut().zip(slices) {
-            match (tuple, slice) {
-                (TupleState::Constant(ct), TupleKeySlice::Constant(entries)) => {
-                    ct.memo.install(entries);
-                }
-                (TupleState::Variable(vt), TupleKeySlice::Variable(entries)) => {
-                    for (key, block, state) in entries {
-                        vt.partition.install_blocks([(key, block)]);
-                        vt.blocks.insert(key, state);
-                    }
-                }
-                _ => unreachable!("slice shape mirrors the tableau"),
-            }
-        }
-    }
-
-    /// Visit the key of every live block across this rule's variable
-    /// tuples — the census hook key-granular rebalancing weighs hash
-    /// ranges with.
-    pub(crate) fn for_each_block_key(&self, f: &mut dyn FnMut(ValueId)) {
-        for tuple in &self.tuples {
-            if let TupleState::Variable(vt) = tuple {
-                for key in vt.partition.block_keys() {
-                    f(key);
-                }
-            }
-        }
-    }
-
     /// Apply a compaction [`RowIdRemap`] to this rule's incremental
     /// state — the rule's side of the remap protocol.
     ///
@@ -1179,7 +685,7 @@ impl RuleState {
     /// pattern or capture evaluation runs, so
     /// [`RuleState::pattern_evals`] is invariant under remap — the
     /// protocol's cheapness guarantee, pinned by tests.
-    pub(crate) fn apply_remap(&mut self, remap: &RowIdRemap) {
+    fn apply_remap(&mut self, remap: &RowIdRemap) {
         for tuple in &mut self.tuples {
             match tuple {
                 TupleState::Constant(_) => {}
@@ -1208,7 +714,7 @@ impl RuleState {
     /// Memoized *negative* entries (keys for values that since left, the
     /// match memo's misses) are deliberately not protected — they are
     /// caches, purged by [`RuleState::purge_values`] instead.
-    pub(crate) fn collect_protected(&self, out: &mut FxHashSet<u32>) {
+    fn collect_protected(&self, out: &mut FxHashSet<u32>) {
         for tuple in &self.tuples {
             match tuple {
                 TupleState::Constant(ct) => {
@@ -1234,7 +740,7 @@ impl RuleState {
     /// [`BlockingPartition::purge_cached_keys`] for why stale entries
     /// would otherwise answer for the wrong value. Counters stay put —
     /// a purge performs no pattern work.
-    pub(crate) fn purge_values(&mut self, dead: &FxHashSet<u32>) {
+    fn purge_values(&mut self, dead: &FxHashSet<u32>) {
         for tuple in &mut self.tuples {
             match tuple {
                 TupleState::Constant(ct) => ct.memo.purge(|id| dead.contains(&id)),
@@ -1248,7 +754,7 @@ impl RuleState {
     /// Pattern evaluations this rule's memoized state performed —
     /// constant tuples' match memos plus variable tuples' capture
     /// extractions.
-    pub(crate) fn pattern_evals(&self) -> usize {
+    fn pattern_evals(&self) -> usize {
         self.tuples
             .iter()
             .map(|t| match t {
@@ -1261,7 +767,7 @@ impl RuleState {
     /// Memo consultations (hits + misses) across this rule's tuples —
     /// the denominator that turns [`RuleState::pattern_evals`] into the
     /// hit rate the observability layer reports.
-    pub(crate) fn pattern_lookups(&self) -> usize {
+    fn pattern_lookups(&self) -> usize {
         self.tuples
             .iter()
             .map(|t| match t {
@@ -1271,9 +777,8 @@ impl RuleState {
             .sum()
     }
 
-    /// Blocks this rule currently maintains — the observed load figure
-    /// shard rebalancing distributes by.
-    pub(crate) fn block_count(&self) -> usize {
+    /// Blocks this rule currently maintains (the `engine.blocks` gauge).
+    fn block_count(&self) -> usize {
         self.tuples
             .iter()
             .map(|t| match t {
@@ -1282,26 +787,10 @@ impl RuleState {
             })
             .sum()
     }
-
-    /// A-priori load estimate for a rule that has seen no data yet:
-    /// variable tuples maintain whole block partitions, constant tuples
-    /// just a match memo — the seed weights the initial round-robin
-    /// shard assignment sorts by.
-    pub(crate) fn estimated_weight(pfd: &Pfd) -> usize {
-        pfd.tableau
-            .iter()
-            .map(|t| match &t.rhs {
-                RhsCell::Wildcard => 4,
-                RhsCell::Constant(_) => 1,
-            })
-            .sum::<usize>()
-            .max(1)
-    }
 }
 
 /// A consistent copy-on-write view of a stream engine's observable
-/// state, frozen at a batch boundary (see [`StreamEngine::snapshot`] /
-/// [`ShardedEngine::snapshot`](crate::ShardedEngine::snapshot)).
+/// state, frozen at a batch boundary (see [`StreamEngine::snapshot`]).
 ///
 /// The table view shares storage chunks with the live engine (copied
 /// lazily, per chunk, on the engine's next write — never by the reader)
@@ -1323,24 +812,6 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Capture a snapshot from the engine-internal pieces — shared by
-    /// [`StreamEngine::snapshot`] and the sharded engine (which freezes
-    /// its coordinator-owned canonical table and ledger behind the same
-    /// pipeline barrier its compactions use).
-    pub(crate) fn capture(
-        table: &Table,
-        ledger: &ViolationLedger,
-        pin: &Arc<()>,
-    ) -> EngineSnapshot {
-        obs::counter!("snapshot.engine_captures").incr();
-        EngineSnapshot {
-            table: table.snapshot(),
-            ledger: ledger.freeze(),
-            epoch: table.epoch(),
-            _pin: Arc::clone(pin),
-        }
-    }
-
     /// The frozen table view.
     #[must_use]
     pub fn table(&self) -> &Table {
@@ -1481,18 +952,27 @@ impl StreamEngine {
         for rule in &self.rules {
             rule.collect_protected(&mut protected);
         }
-        let doomed: Vec<ValueId> = candidates
+        let doomed: Vec<(ValueId, u32)> = candidates
             .into_iter()
-            .filter(|id| ValuePool::refcount(*id) == 0 && !protected.contains(&id.raw()))
+            .filter(|(id, _)| ValuePool::refcount(*id) == 0 && !protected.contains(&id.raw()))
             .collect();
         if doomed.is_empty() {
             return;
         }
-        let dead: FxHashSet<u32> = doomed.iter().map(|id| id.raw()).collect();
+        let dead: FxHashSet<u32> = doomed.iter().map(|(id, _)| id.raw()).collect();
         for rule in &mut self.rules {
             rule.purge_values(&dead);
         }
-        let stats = ValuePool::reclaim(doomed);
+        // SAFETY: every candidate's last table reference died (refcount
+        // rechecked above, at a post-compaction barrier with no
+        // tombstones), rule state's own ids are protected, and the memo
+        // and key caches were just purged of them — so nothing in this
+        // engine resolves them again, and the ledger's violations hold
+        // owned strings, never pool borrows. No snapshot is alive
+        // (checked above), and `reclaim: true` engines own a value space
+        // disjoint from other pool users (the `StreamConfig::reclaim`
+        // contract).
+        let stats = unsafe { ValuePool::reclaim(doomed) };
         self.reclaim_stats.strings += stats.strings;
         self.reclaim_stats.bytes += stats.bytes;
     }
@@ -1514,7 +994,13 @@ impl StreamEngine {
     /// holds stays resolvable for its whole lifetime.
     #[must_use]
     pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot::capture(&self.table, &self.ledger, &self.snap_pin)
+        obs::counter!("snapshot.engine_captures").incr();
+        EngineSnapshot {
+            table: self.table.snapshot(),
+            ledger: self.ledger.freeze(),
+            epoch: self.table.epoch(),
+            _pin: Arc::clone(&self.snap_pin),
+        }
     }
 
     /// Auto-compaction hook: runs at the end of tombstoning entry
@@ -1522,11 +1008,10 @@ impl StreamEngine {
     /// space) when the tombstone ratio crosses
     /// [`StreamConfig::compact_ratio`].
     fn maybe_compact(&mut self) {
-        if should_compact(
-            self.compact_ratio,
-            self.table.row_count(),
-            self.table.live_rows(),
-        ) {
+        let total = self.table.row_count();
+        let dead = total - self.table.live_rows();
+        let over_ratio = dead > 0 && dead as f64 >= self.compact_ratio * total as f64;
+        if self.compact_ratio > 0.0 && over_ratio {
             self.compact();
         }
     }
@@ -1774,7 +1259,7 @@ impl StreamEngine {
         let ops: Vec<RowOp> = ops.into_iter().collect();
         {
             let _validate = obs::span!("engine.validate_ns");
-            validate_shapes(&self.table, ops.iter().map(OpShape::of))?;
+            validate_ops(&self.table, &ops)?;
         }
         let _apply = obs::span!("engine.apply_ns");
         obs::counter!("engine.ops").add(ops.len() as u64);

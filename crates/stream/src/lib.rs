@@ -50,30 +50,12 @@
 //!   the denominator shrinks as matched rows are deleted — and flags
 //!   rules that decay below the discovery threshold, so they can be
 //!   demoted to `RuleStatus::Pending` for re-review.
-//! * [`ShardedEngine`] runs the same delta pipeline across worker
-//!   threads, on either of two axes ([`StreamConfig::shard_by`]):
-//!   **rule-granular** (each worker owns a disjoint rule subset — the
-//!   incremental state of different rules is mutually independent) or
-//!   **key-granular** ([`ShardBy::Key`] — blocking keys are hashed over
-//!   workers, so a single heavy rule's blocks spread across every
-//!   core; the coordinator derives each distinct key once and ships
-//!   routes with the batch). Each op batch is interned once, fanned out
-//!   over bounded channels, and per-shard deltas are merged back in
-//!   `(rule, tuple)` order into one coordinator-owned ledger. With
-//!   [`StreamConfig::run_ahead`]` > 0` the coordinator *pipelines*
-//!   batches: [`ShardedEngine::submit`] returns while workers run
-//!   ahead, and epoch-sequence-tagged merges happen strictly in
-//!   submission order ([`BatchEvents`]). The **determinism contract**:
-//!   for any op sequence, shard count, axis, and run-ahead window, the
-//!   event stream, ledger state, per-rule health, and drift report
-//!   are bit-for-bit identical to [`StreamEngine`]'s (property-tested in
-//!   `tests/shard_equivalence.rs`). Cross-shard string traffic rides the
-//!   `ValuePool`, whose id→string resolution is lock-free. Compaction
-//!   runs as a coordinated **epoch barrier** ([`ShardedEngine::compact`]):
-//!   the pipeline drains, the coordinator compacts, broadcasts the
-//!   remap, and every worker remaps its replica and rule state before
-//!   the next batch flows — the equivalence contract holds across
-//!   compactions too.
+//! * With [`StreamConfig::reclaim`] the engine also frees interned
+//!   strings no live row or rule state references any more, at the same
+//!   compaction barriers (`tests/reclamation.rs` pins that a reclaiming
+//!   engine is observably identical to a never-reclaiming twin).
+//!   [`StreamEngine::snapshot`] freezes a copy-on-write view of table
+//!   and ledger that stays valid while ingest continues.
 //!
 //! # Example
 //!
@@ -107,11 +89,9 @@
 
 pub mod drift;
 pub mod engine;
-pub mod sharded;
 
 pub use drift::{DriftMonitor, DriftReport, RuleHealth};
-pub use engine::{CompactionStats, EngineSnapshot, ShardBy, StreamConfig, StreamEngine};
-pub use sharded::{BatchEvents, ShardedEngine, KEY_SLOTS};
+pub use engine::{CompactionStats, EngineSnapshot, StreamConfig, StreamEngine};
 
 // Re-exported so downstream users of the engine's event stream don't need
 // a direct anmat-core dependency.

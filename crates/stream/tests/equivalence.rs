@@ -2,12 +2,21 @@
 //! row-by-row through the `StreamEngine` must end in exactly the
 //! violation set batch `detect_all` computes on the full table — for
 //! constant, variable, and mixed PFDs, discovered or handcrafted.
+//!
+//! Alongside: the engine's configuration-invariance contracts. Neither
+//! the metrics recorder nor the pattern execution tier may change
+//! anything observable (events batch by batch, ledger, per-rule health,
+//! drift report, eval/lookup counters).
 
 use anmat_core::{detect_all, discover, DiscoveryConfig, PatternTuple, Pfd, Violation};
 use anmat_datagen::{chembl, employee, names, phone, zipcity, GenConfig};
-use anmat_stream::StreamEngine;
-use anmat_table::Table;
+use anmat_pattern::{ConstrainedPattern, PatternEngine};
+use anmat_stream::{StreamConfig, StreamEngine};
+use anmat_table::{RowOp, Schema, Table, Value};
 use proptest::prelude::*;
+
+mod common;
+use common::{cases, random_ops};
 
 fn discovery_config() -> DiscoveryConfig {
     DiscoveryConfig {
@@ -95,7 +104,7 @@ fn handcrafted_mixed_tableau_replays_to_batch() {
         "city",
         vec![
             PatternTuple::constant(
-                anmat_pattern::ConstrainedPattern::unconstrained("900\\D{2}".parse().unwrap()),
+                ConstrainedPattern::unconstrained("900\\D{2}".parse().unwrap()),
                 "Los Angeles",
             ),
             PatternTuple::variable("[\\D{3}]\\D{2}".parse().unwrap()),
@@ -104,8 +113,176 @@ fn handcrafted_mixed_tableau_replays_to_batch() {
     assert_equivalent(&data.table, &[mixed], "handcrafted mixed tableau");
 }
 
+/// Split `ops` into batches whose sizes cycle through `batch_sizes`, so
+/// one run exercises several batch granularities.
+fn batches(ops: &[RowOp], batch_sizes: &[usize]) -> Vec<Vec<RowOp>> {
+    let mut out = Vec::new();
+    let mut rest = ops;
+    for &size in batch_sizes.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (head, tail) = rest.split_at(size.clamp(1, rest.len()));
+        out.push(head.to_vec());
+        rest = tail;
+    }
+    out
+}
+
+#[test]
+fn drift_report_is_rule_index_sorted() {
+    // Three constant rules that all drift (every matching row violates):
+    // the report must come back in rule-index order.
+    let schema = Schema::new(["zip", "city"]).unwrap();
+    let rule = |expected: &str| {
+        Pfd::new(
+            "Zip",
+            "zip",
+            "city",
+            vec![PatternTuple::constant(
+                ConstrainedPattern::unconstrained("900\\D{2}".parse().unwrap()),
+                expected,
+            )],
+        )
+    };
+    let mut engine = StreamEngine::new(schema, vec![rule("Alpha"), rule("Beta"), rule("Gamma")]);
+    let rows: Vec<Vec<Value>> = (0..12)
+        .map(|i| vec![Value::text(format!("900{i:02}")), Value::text("Delta")])
+        .collect();
+    engine.push_batch(rows).unwrap();
+    let report = engine.drift_report();
+    assert_eq!(
+        report.iter().map(|d| d.rule).collect::<Vec<_>>(),
+        vec![0, 1, 2],
+        "drift report must be rule-index sorted"
+    );
+}
+
+#[test]
+fn instrumented_run_is_bit_for_bit_identical() {
+    // The observability contract: turning the metrics recorder on must
+    // not perturb anything observable — event streams, ledger, health,
+    // drift. (The recorder flag is process global; flipping it here is
+    // harmless to concurrently running tests precisely *because* of this
+    // contract.)
+    use anmat_obs as obs;
+
+    let config = GenConfig {
+        rows: 160,
+        seed: 0xB0B5,
+        error_rate: 0.05,
+    };
+    let data = zipcity::generate(&config, zipcity::ZipTarget::City);
+    let rules = discover(&data.table, &discovery_config());
+    let ops = random_ops(&data.table, 41, 0.25);
+    let op_batches = batches(&ops, &[1, 9, 32]);
+
+    let run = || {
+        let mut engine = StreamEngine::new(data.table.schema().clone(), rules.clone());
+        let events: Vec<_> = op_batches
+            .iter()
+            .map(|batch| engine.apply(batch.clone()).expect("ops are valid"))
+            .collect();
+        // Exercise the publish path too — reading gauges out of engine
+        // state must be as inert as the inline counters.
+        engine.publish_metrics();
+        let healths: Vec<_> = (0..rules.len()).map(|r| engine.rule_health(r)).collect();
+        (
+            events,
+            engine.ledger().snapshot(),
+            healths,
+            engine.drift_report(),
+            engine.pattern_evals(),
+            engine.pattern_lookups(),
+        )
+    };
+
+    let baseline = run();
+    obs::Recorder::enable();
+    let instrumented = run();
+    obs::Recorder::disable();
+    assert_eq!(
+        baseline, instrumented,
+        "an active recorder must not change any observable engine state"
+    );
+    // And the recorder really was live during the second run: the
+    // engine-phase counters can only have moved while it was enabled.
+    let snap = obs::MetricsSnapshot::capture();
+    assert!(
+        snap.counter("engine.ops").unwrap_or(0) > 0,
+        "instrumented run must have recorded engine.ops"
+    );
+}
+
+#[test]
+fn every_pattern_engine_is_bit_for_bit_identical() {
+    // The tiered-execution contract: `pattern_engine` changes only the
+    // machinery memo misses evaluate on (fused matcher vs bytecode VM
+    // vs AST interpreter), never anything observable — event streams,
+    // ledger, health, drift — and not even the eval/lookup counters,
+    // because batch priming is count-neutral by construction.
+    let config = GenConfig {
+        rows: 180,
+        seed: 0xC0DE,
+        error_rate: 0.05,
+    };
+    for (table, context) in [
+        (
+            zipcity::generate(&config, zipcity::ZipTarget::City).table,
+            "zipcity",
+        ),
+        (names::generate(&config).table, "names"),
+    ] {
+        let rules = discover(&table, &discovery_config());
+        let ops = random_ops(&table, 51, 0.2);
+        let op_batches = batches(&ops, &[1, 11, 40]);
+        let engine_for = |pattern_engine| {
+            StreamEngine::with_config(
+                table.schema().clone(),
+                rules.clone(),
+                StreamConfig {
+                    pattern_engine,
+                    ..StreamConfig::default()
+                },
+            )
+        };
+        let mut fused = engine_for(PatternEngine::Fused);
+        let mut vm = engine_for(PatternEngine::Vm);
+        let mut interp = engine_for(PatternEngine::Interp);
+        for (k, batch) in op_batches.iter().enumerate() {
+            let a = fused.apply(batch.clone()).expect("ops are valid");
+            let b = vm.apply(batch.clone()).expect("ops are valid");
+            let c = interp.apply(batch.clone()).expect("ops are valid");
+            assert_eq!(a, b, "vm event stream diverged on {context} (batch {k})");
+            assert_eq!(
+                a, c,
+                "interp event stream diverged on {context} (batch {k})"
+            );
+        }
+        assert_eq!(fused.ledger().snapshot(), interp.ledger().snapshot());
+        assert_eq!(vm.ledger().snapshot(), interp.ledger().snapshot());
+        assert_eq!(
+            fused.pattern_evals(),
+            interp.pattern_evals(),
+            "batch priming must be eval-count-neutral on {context}"
+        );
+        assert_eq!(
+            fused.pattern_lookups(),
+            interp.pattern_lookups(),
+            "priming is not a lookup — per-row probe counts must agree on {context}"
+        );
+        assert_eq!(vm.pattern_evals(), interp.pattern_evals());
+        for rule in 0..rules.len() {
+            assert_eq!(fused.rule_health(rule), interp.rule_health(rule));
+            assert_eq!(vm.rule_health(rule), interp.rule_health(rule));
+        }
+        assert_eq!(fused.drift_report(), interp.drift_report());
+        assert_eq!(vm.drift_report(), interp.drift_report());
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
 
     /// The tentpole acceptance property: any seeded table, replayed
     /// row-by-row, converges to the batch violation set under discovered

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::cases;
+use common::{cases, random_ops};
 
 fn discovery_config() -> DiscoveryConfig {
     DiscoveryConfig {
@@ -41,33 +41,6 @@ fn canonical(mut violations: Vec<Violation>) -> Vec<String> {
     keys.sort();
     keys.dedup();
     keys
-}
-
-/// A random interleaving: every source row arrives as an insert; after
-/// each arrival, with probability `churn` (repeatedly), a random live
-/// slot is deleted or updated in place.
-fn random_ops(source: &Table, seed: u64, churn: f64) -> Vec<RowOp> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut ops = Vec::new();
-    let mut live: Vec<RowId> = Vec::new();
-    for r in 0..source.row_count() {
-        // Inserts allocate slot ids densely in order, so the r-th
-        // source row lands in slot r regardless of interleaved ops.
-        ops.push(RowOp::Insert(source.row(r)));
-        live.push(r);
-        while !live.is_empty() && rng.random_bool(churn) {
-            let pick = rng.random_range(0..live.len());
-            let row = live[pick];
-            if rng.random_bool(0.5) {
-                live.remove(pick);
-                ops.push(RowOp::Delete(row));
-            } else {
-                let donor = rng.random_range(0..source.row_count());
-                ops.push(RowOp::Update(row, source.row(donor)));
-            }
-        }
-    }
-    ops
 }
 
 /// Apply `ops` to a fresh engine and to a mirror table, then assert the

@@ -2,9 +2,8 @@
 //! sweeps the [`ValuePool`] at its compaction barriers must be
 //! indistinguishable — events, ledger, resolved table content, per-rule
 //! health, drift — from a never-reclaiming twin fed the identical op
-//! stream, for both the single-threaded and the sharded engine. And
-//! copy-on-write snapshots must stay frozen while ingest (and
-//! compaction, and deferred reclamation) continue underneath them.
+//! stream. And copy-on-write snapshots must stay frozen while ingest
+//! (and compaction, and deferred reclamation) continue underneath them.
 //!
 //! The pool is process-global and refcounts are shared, so every test
 //! works in its own string universe: cities and constant-rule RHS carry
@@ -17,7 +16,7 @@
 //! id, and id identity was never part of the observable contract.
 
 use anmat_core::{PatternTuple, Pfd, Violation};
-use anmat_stream::{LedgerEvent, ShardBy, ShardedEngine, StreamConfig, StreamEngine};
+use anmat_stream::{LedgerEvent, StreamConfig, StreamEngine};
 use anmat_table::{RowOp, Schema, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -59,8 +58,8 @@ fn schema() -> Schema {
 /// barrier. Compaction renumbers live rows (sorted survivors → `0..n`),
 /// so ops must be generated against the *post-remap* id space — the
 /// script bakes the barriers in and the generator tracks the
-/// renumbering, which is deterministic and identical across every
-/// engine flavour (the shard-equivalence contract covers compaction).
+/// renumbering, which is deterministic and identical for every engine
+/// configuration.
 struct Step {
     ops: Vec<RowOp>,
     compact: bool,
@@ -179,28 +178,8 @@ fn observe(
 
 /// Run the script — several explicit compaction barriers, each a sweep
 /// opportunity — collecting the full observable record.
-fn run_single(config: StreamConfig, rules: Vec<Pfd>, script: &[Step]) -> (Observed, usize) {
+fn run_script(config: StreamConfig, rules: Vec<Pfd>, script: &[Step]) -> (Observed, usize) {
     let mut engine = StreamEngine::with_config(schema(), rules, config);
-    let mut events = Vec::new();
-    for step in script {
-        events.extend(engine.apply(step.ops.clone()).expect("valid ops"));
-        if step.compact {
-            engine.compact();
-        }
-    }
-    let health = (0..2).map(|i| engine.rule_health(i)).collect();
-    let observed = observe(
-        events,
-        engine.table(),
-        engine.ledger(),
-        health,
-        engine.drift_report(),
-    );
-    (observed, engine.reclaim_stats().strings)
-}
-
-fn run_sharded(config: StreamConfig, rules: Vec<Pfd>, script: &[Step]) -> (Observed, usize) {
-    let mut engine = ShardedEngine::with_config(schema(), rules, config);
     let mut events = Vec::new();
     for step in script {
         events.extend(engine.apply(step.ops.clone()).expect("valid ops"));
@@ -234,14 +213,14 @@ fn reclaim_twin_case(tag: &str, seed: u64) {
     // The twin runs FIRST and never reclaims (nor refcounts), so its
     // observables are collected before any sweep can free a string it
     // would still resolve.
-    let (twin, twin_freed) = run_single(base, rules(tag, TWIN_PREFIXES), &script);
+    let (twin, twin_freed) = run_script(base, rules(tag, TWIN_PREFIXES), &script);
     assert_eq!(twin_freed, 0, "twin must never reclaim");
 
     let reclaiming = StreamConfig {
         reclaim: true,
         ..base
     };
-    let (swept, freed) = run_single(reclaiming, rules(tag, TWIN_PREFIXES), &script);
+    let (swept, freed) = run_script(reclaiming, rules(tag, TWIN_PREFIXES), &script);
     assert!(
         freed > 0,
         "churn stranded unique strings, so the sweep must free some ({tag}, seed {seed})"
@@ -250,32 +229,12 @@ fn reclaim_twin_case(tag: &str, seed: u64) {
         swept, twin,
         "reclamation changed observable state ({tag}, seed {seed})"
     );
-
-    // Same contract across the sharded engine, both axes, pipelined.
-    for (shards, shard_by, run_ahead) in [(2, ShardBy::Rule, 0), (3, ShardBy::Key, 2)] {
-        let config = StreamConfig {
-            shards,
-            shard_by,
-            run_ahead,
-            ..reclaiming
-        };
-        let (sharded, sharded_freed) = run_sharded(config, rules(tag, TWIN_PREFIXES), &script);
-        assert!(
-            sharded_freed > 0,
-            "sharded sweep must free stranded strings ({tag}, seed {seed}, {shard_by:?})"
-        );
-        assert_eq!(
-            sharded, twin,
-            "sharded reclamation diverged ({tag}, seed {seed}, {shard_by:?})"
-        );
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(12)))]
 
-    /// The headline twin property: reclamation is observably invisible
-    /// on every engine flavour.
+    /// The headline twin property: reclamation is observably invisible.
     #[test]
     fn churn_with_reclamation_matches_never_reclaiming_twin(seed in 0u64..4096) {
         reclaim_twin_case(&format!("rclA{seed}"), seed);
@@ -341,47 +300,4 @@ fn snapshot_stays_frozen_while_ingest_mutates() {
         engine.reclaim_stats().strings > freed_at_capture,
         "deferred candidates must sweep at the first unpinned barrier"
     );
-}
-
-/// The sharded engine's snapshot sits at a clean pipeline barrier and
-/// behaves identically: frozen view, deferral, post-drop sweep.
-#[test]
-fn sharded_snapshot_stays_frozen_and_defers_sweeps() {
-    let tag = "rclC";
-    let prefixes = ["600", "614", "627", "635", "642"];
-    let script = churn_script(tag, prefixes, 11, 80);
-    let config = StreamConfig {
-        reclaim: true,
-        shards: 3,
-        shard_by: ShardBy::Key,
-        run_ahead: 2,
-        ..StreamConfig::default()
-    };
-    let mut engine = ShardedEngine::with_config(schema(), rules(tag, prefixes), config);
-    let (head, tail) = script.split_at(script.len() / 2);
-    for step in head {
-        engine.apply(step.ops.clone()).expect("valid ops");
-        if step.compact {
-            engine.compact();
-        }
-    }
-
-    let snap = engine.snapshot();
-    let frozen_table = engine.table().clone();
-    let frozen_live = engine.ledger().snapshot();
-    let freed_at_capture = engine.reclaim_stats().strings;
-
-    for step in tail {
-        engine.apply(step.ops.clone()).expect("valid ops");
-        if step.compact {
-            engine.compact();
-        }
-    }
-    assert_eq!(engine.reclaim_stats().strings, freed_at_capture);
-    assert_eq!(snap.table(), &frozen_table);
-    assert_eq!(snap.ledger().snapshot(), frozen_live);
-
-    drop(snap);
-    engine.compact();
-    assert!(engine.reclaim_stats().strings > freed_at_capture);
 }

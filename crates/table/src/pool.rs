@@ -20,21 +20,25 @@
 //!   `ValueId` obtained anywhere in the process stays valid (and
 //!   resolvable) for the process lifetime. This is what lets
 //!   [`ValueId::as_str`] hand out `&'static str` without borrowing the
-//!   pool, and what makes `ValueId` `Send + Copy` — the prerequisite for
-//!   sharding rule state across threads without cloning string tables.
+//!   pool, and what makes `ValueId` a `Send + Copy` 4-byte key that any
+//!   table, index or thread can hold without a string table of its own.
 //! * For long-running, high-cardinality streams the leak is no longer
 //!   acceptable, so the pool supports **explicit reclamation**
 //!   ([`ValuePool::reclaim`]): a caller that can prove a set of ids is
 //!   unreferenced (the stream engines prove it with batch-granular
 //!   refcounts swept at a compaction epoch barrier — see
 //!   `anmat_stream`) hands them back, their strings are unpublished and
-//!   freed, and the ids are recycled through a free list. Each recycling
-//!   bumps the id's **generation** ([`ValuePool::generation`]), so a
-//!   holder that stashed `(id, generation)` can detect staleness in
-//!   debug builds. Resolving a freed-and-not-yet-reused id panics
-//!   (fail-stop, never a dangle): the slot is nulled before the string
-//!   is dropped, and the drop itself is deferred one reclaim round as a
-//!   grace period for racing lock-free readers.
+//!   freed, and the ids are recycled through a free list. Each reclaim
+//!   bumps the id's **generation** ([`ValuePool::generation`]), and
+//!   reclaim only accepts `(id, generation)` pairs whose generation is
+//!   still current — so a stale id whose slot has since been recycled
+//!   for a different string is skipped, never freed (no ABA). Resolving
+//!   a freed-and-not-yet-reused id panics (fail-stop, never a dangle):
+//!   the slot is nulled before the string is dropped, and the drop
+//!   itself is deferred one reclaim round as a grace period for racing
+//!   lock-free readers. Reclaim is an `unsafe fn` because a
+//!   `&'static str` resolved before it must not be used after the
+//!   following one.
 //!
 //! Id `0` is reserved for the null cell ([`ValueId::NULL`]); real strings
 //! get ids from 1 upward in first-sighting order (or from the free list
@@ -53,9 +57,8 @@
 //!   watermark bounds check and two pointer chases (chunk, then the
 //!   published entry), with acquire loads pairing against the publishing
 //!   release stores. Resolution never blocks and is never blocked — not
-//!   by other resolvers, and not by concurrent interning. This is what
-//!   lets sharded stream workers render evidence strings on every thread
-//!   without contending on the pool.
+//!   by other resolvers, and not by concurrent interning (e.g. the
+//!   parallel discovery threads).
 //! * **string → id** (interning) keeps an `RwLock`ed hash map: lookups of
 //!   already-interned strings take the shared read lock; only a genuine
 //!   *miss* — the first sighting of a string — takes the write lock to
@@ -64,10 +67,11 @@
 //!   whatever missed is interned under one write-lock acquisition — the
 //!   CSV ingest path pays two lock operations per *record*, not two per
 //!   cell.
-//! * **refcounts** ([`ValuePool::retain`]/[`ValuePool::release`]) live in
-//!   a third ladder of plain `AtomicU32` cells parallel to the store —
-//!   one relaxed RMW per call, no locks, no effect on intern/resolve.
-//!   Only refcount-participating tables pay for them.
+//! * **refcounts and generations** ([`ValuePool::retain`]/
+//!   [`ValuePool::release`]/[`ValuePool::generation`]) live in a third
+//!   ladder of atomic cells parallel to the store — one relaxed RMW (plus
+//!   one generation load on release) per call, no locks, no effect on
+//!   intern/resolve. Only refcount-participating tables pay for them.
 //!
 //! Publishing protocol (single writer at a time — the map write lock
 //! doubles as the store's append lock): write the entry pointer into its
@@ -91,7 +95,7 @@ use std::sync::{Mutex, OnceLock, RwLock};
 static STRING_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// Bytes of allocated chunk-ladder slot arrays (store + refcounts).
 static CHUNK_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Bytes of allocated refcount-ladder arrays.
+/// Bytes of allocated refcount/generation-ladder arrays.
 static REF_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// Distinct strings currently published (excludes the null placeholder;
 /// published − reclaimed).
@@ -312,11 +316,19 @@ fn store() -> &'static Store {
     STORE.get_or_init(Store::new)
 }
 
-/// The refcount ladder: `AtomicU32` cells parallel to the store's
-/// slots, allocated chunk-at-a-time on first touch. Retain/release are
-/// single relaxed RMWs — no locks, independent of intern/resolve.
+/// One id's reclamation bookkeeping: its refcount and its generation
+/// (how many times it has been reclaimed).
+#[derive(Default)]
+struct RefSlot {
+    count: AtomicU32,
+    generation: AtomicU32,
+}
+
+/// The refcount ladder: [`RefSlot`]s parallel to the store's slots,
+/// allocated chunk-at-a-time on first touch. Retain/release are single
+/// relaxed RMWs — no locks, independent of intern/resolve.
 struct RefLadder {
-    chunks: [AtomicPtr<AtomicU32>; CHUNK_COUNT],
+    chunks: [AtomicPtr<RefSlot>; CHUNK_COUNT],
 }
 
 impl RefLadder {
@@ -326,16 +338,15 @@ impl RefLadder {
         }
     }
 
-    /// The refcount cell for `id`, allocating the chunk if needed.
-    /// Callable from any thread (CAS-installed; the loser frees its
-    /// allocation).
-    fn cell(&self, id: u32) -> &AtomicU32 {
+    /// The cell for `id`, allocating the chunk if needed. Callable from
+    /// any thread (CAS-installed; the loser frees its allocation).
+    fn cell(&self, id: u32) -> &RefSlot {
         let (level, offset) = locate(id);
         let mut chunk = self.chunks[level].load(Ordering::Acquire);
         if chunk.is_null() {
             let cap = 1usize << (level as u32 + FIRST_CHUNK_BITS);
-            let boxed: Box<[AtomicU32]> = (0..cap).map(|_| AtomicU32::new(0)).collect();
-            let fresh = Box::into_raw(boxed) as *mut AtomicU32;
+            let boxed: Box<[RefSlot]> = (0..cap).map(|_| RefSlot::default()).collect();
+            let fresh = Box::into_raw(boxed) as *mut RefSlot;
             match self.chunks[level].compare_exchange(
                 std::ptr::null_mut(),
                 fresh,
@@ -343,7 +354,7 @@ impl RefLadder {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    REF_BYTES.fetch_add(cap * std::mem::size_of::<AtomicU32>(), Ordering::Relaxed);
+                    REF_BYTES.fetch_add(cap * std::mem::size_of::<RefSlot>(), Ordering::Relaxed);
                     chunk = fresh;
                 }
                 Err(winner) => {
@@ -357,6 +368,15 @@ impl RefLadder {
         // SAFETY: in-bounds cell of a never-freed chunk.
         unsafe { &*chunk.add(offset) }
     }
+
+    /// The cell for `id` if its chunk exists — reads that must not
+    /// allocate (an id in an untouched chunk has count and generation 0).
+    fn peek(&self, id: u32) -> Option<&RefSlot> {
+        let (level, offset) = locate(id);
+        let chunk = self.chunks[level].load(Ordering::Acquire);
+        // SAFETY: in-bounds cell of a never-freed chunk.
+        (!chunk.is_null()).then(|| unsafe { &*chunk.add(offset) })
+    }
 }
 
 fn refs() -> &'static RefLadder {
@@ -364,12 +384,11 @@ fn refs() -> &'static RefLadder {
     REFS.get_or_init(RefLadder::new)
 }
 
-/// Reclamation bookkeeping: the free list of recycled ids, per-id
-/// generation tags, and allocations unpublished last round whose drop
-/// was deferred (grace period for racing lock-free readers).
+/// Reclamation bookkeeping: the free list of recycled ids and the
+/// allocations unpublished last round whose drop was deferred (grace
+/// period for racing lock-free readers).
 struct Reclaimer {
     free: Vec<u32>,
-    gens: FxHashMap<u32, u32>,
     deferred: Vec<(*mut Entry, *mut str)>,
 }
 
@@ -382,7 +401,6 @@ fn reclaimer() -> &'static Mutex<Reclaimer> {
     RECLAIMER.get_or_init(|| {
         Mutex::new(Reclaimer {
             free: Vec::new(),
-            gens: FxHashMap::default(),
             deferred: Vec::new(),
         })
     })
@@ -547,7 +565,7 @@ impl ValuePool {
     /// **Lock-free**: a relaxed watermark check plus two acquire pointer
     /// chases — no `RwLock` is touched, so resolution never blocks (and
     /// is never blocked by) concurrent interning. This is the hot read
-    /// path every shard worker leans on.
+    /// path every evidence render and blocking-key derivation leans on.
     ///
     /// # Panics
     /// Panics on [`ValueId::NULL`] (nulls have no string), on an id not
@@ -599,21 +617,25 @@ impl ValuePool {
     /// zero-candidate sweep).
     pub fn retain(id: ValueId) {
         if !id.is_null() {
-            refs().cell(id.0).fetch_add(1, Ordering::Relaxed);
+            refs().cell(id.0).count.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Drop one reference from a non-null id. Returns `true` when this
-    /// release took the count to zero — the caller's cue to record the
-    /// id as a reclaim candidate (to be re-checked at the barrier; the
-    /// value may be retained again before then).
-    pub fn release(id: ValueId) -> bool {
+    /// Drop one reference from a non-null id. Returns the id's current
+    /// generation when this release took the count to zero — the
+    /// caller's cue to record `(id, generation)` as a reclaim candidate
+    /// (to be re-checked at the barrier; the value may be retained again
+    /// before then). The generation is read while the caller still holds
+    /// its reference, so it names the string the caller held.
+    pub fn release(id: ValueId) -> Option<u32> {
         if id.is_null() {
-            return false;
+            return None;
         }
-        let prev = refs().cell(id.0).fetch_sub(1, Ordering::Relaxed);
+        let cell = refs().cell(id.0);
+        let generation = cell.generation.load(Ordering::Acquire);
+        let prev = cell.count.fetch_sub(1, Ordering::Relaxed);
         debug_assert!(prev > 0, "ValueId({}) released below zero", id.0);
-        prev == 1
+        (prev == 1).then_some(generation)
     }
 
     /// The current refcount of an id (0 for null). Relaxed read — only
@@ -624,32 +646,42 @@ impl ValuePool {
         if id.is_null() {
             0
         } else {
-            refs().cell(id.0).load(Ordering::Relaxed)
+            refs().cell(id.0).count.load(Ordering::Relaxed)
         }
     }
 
-    /// Reclaim a set of ids the caller has proven unreferenced: each id
-    /// still zero-refcounted has its string unpublished from the
+    /// Reclaim a set of `(id, generation)` candidates the caller has
+    /// proven unreferenced: each id still zero-refcounted *and still in
+    /// the recorded generation* has its string unpublished from the
     /// interning map, its store slot nulled (so a stale resolve panics
-    /// instead of dangling), its id pushed onto the free list for
-    /// recycling, and its generation tag bumped. The string and entry
+    /// instead of dangling), its generation bumped, and its id pushed
+    /// onto the free list for recycling. The string and entry
     /// allocations are dropped at the *next* reclaim call — a one-round
     /// grace period for lock-free readers that raced the unpublish.
     ///
     /// Returns how many strings (and payload bytes) were actually
-    /// reclaimed; ids that were re-retained since the caller recorded
-    /// them, already reclaimed, or never interned are skipped.
+    /// reclaimed. Candidates that were re-retained since the caller
+    /// recorded them, already reclaimed, or never interned are skipped —
+    /// and so is any candidate whose generation moved on: its id was
+    /// reclaimed and recycled for a different string in the meantime.
     ///
-    /// # Contract
-    /// The caller must guarantee no other holder of these ids remains —
-    /// the stream engines prove it with table-granular refcounts swept
-    /// behind a compaction epoch barrier, protecting rule constants and
-    /// live blocking keys explicitly. Reclaiming an id another engine
-    /// still references leads to panics (or, for a reader racing two
-    /// consecutive barriers, undefined behaviour) — which is why
-    /// reclamation is opt-in per engine and the opting engine's value
-    /// space must be disjoint from other pool users in the process.
-    pub fn reclaim(ids: impl IntoIterator<Item = ValueId>) -> ReclaimStats {
+    /// # Safety
+    /// [`ValuePool::resolve`] (and [`ValueId::as_str`], `render`,
+    /// `Display`) hand out `&'static str` borrows of pool storage, and
+    /// this call frees the storage of the previous call's strings. The
+    /// caller must guarantee that:
+    ///
+    /// * no holder other than the caller still references these ids —
+    ///   in particular no table, index, memo or cache outside the
+    ///   caller's refcounted value space resolves them later; and
+    /// * no `&'static str` resolved from these ids is used after the
+    ///   *next* `reclaim` call anywhere in the process.
+    ///
+    /// The stream engine meets both with table-granular refcounts swept
+    /// behind a compaction epoch barrier, explicit protection of rule
+    /// constants and live blocking keys, and a snapshot pin that defers
+    /// sweeps while a frozen view may still resolve ids.
+    pub unsafe fn reclaim(candidates: impl IntoIterator<Item = (ValueId, u32)>) -> ReclaimStats {
         let mut map = map().write().expect("value pool poisoned");
         let mut rec = reclaimer().lock().expect("pool reclaimer poisoned");
         // The previous round's grace period is over: anything still
@@ -664,10 +696,16 @@ impl ValuePool {
             }
         }
         let mut stats = ReclaimStats::default();
-        for vid in ids {
-            let id = vid.raw();
-            if vid.is_null() || ValuePool::refcount(vid) != 0 {
+        for (vid, generation) in candidates {
+            if vid.is_null() {
                 continue;
+            }
+            let id = vid.raw();
+            let cell = refs().cell(id);
+            if cell.count.load(Ordering::Relaxed) != 0
+                || cell.generation.load(Ordering::Relaxed) != generation
+            {
+                continue; // re-retained, or the id was recycled since
             }
             let entry = store().take(id);
             if entry.is_null() {
@@ -682,8 +720,14 @@ impl ValuePool {
             stats.bytes += s.len();
             rec.deferred
                 .push((entry, std::ptr::from_ref::<str>(s).cast_mut()));
+            // Bumped before the id can be recycled: recycling takes the
+            // map write lock held here, so whoever interns the recycled
+            // id — and every later release of it — sees the new
+            // generation. (The Release here and the Acquire loads in
+            // `release`/`generation` restate that edge without relying
+            // on the lock.)
+            cell.generation.fetch_add(1, Ordering::Release);
             rec.free.push(id);
-            *rec.gens.entry(id).or_insert(0) += 1;
         }
         FREE_HINT.store(rec.free.len(), Ordering::Relaxed);
         MAP_CAPACITY.store(map.capacity(), Ordering::Relaxed);
@@ -697,25 +741,24 @@ impl ValuePool {
         stats
     }
 
-    /// The generation tag of an id: how many times it has been reclaimed
-    /// (0 for never-reclaimed ids). A holder that stashes
-    /// `(id, generation)` at acquisition can assert the id still means
-    /// the same string — the debug-build staleness check the reclaim
-    /// protocol promises.
+    /// The generation of an id: how many times it has been reclaimed (0
+    /// for never-reclaimed ids). Lock-free. A candidate recorded as
+    /// `(id, generation)` is stale once this has moved on.
     #[must_use]
     pub fn generation(id: ValueId) -> u32 {
-        let rec = reclaimer().lock().expect("pool reclaimer poisoned");
-        rec.gens.get(&id.raw()).copied().unwrap_or(0)
+        refs()
+            .peek(id.0)
+            .map_or(0, |cell| cell.generation.load(Ordering::Acquire))
     }
 
     /// Measure the pool's resident memory — the interned-string cost the
     /// table's own [`crate::MemFootprint`] deliberately excludes (ids are
     /// shared across all tables, so the pool is accounted once per
-    /// process, not per replica).
+    /// process, not per table).
     ///
     /// Counts every owned allocation: the chunk-ladder slot arrays, the
     /// published `Entry` cells, the live string bytes themselves, the
-    /// refcount ladder, and the string → id map (its bucket array
+    /// refcount/generation ladder, and the string → id map (its bucket array
     /// estimated from a mirrored capacity). **Lock-free** — every figure
     /// is an atomic read, so snapshotting never contends with interning.
     #[must_use]
@@ -759,7 +802,8 @@ pub struct PoolFootprint {
     pub string_bytes: usize,
     /// The string → id interning map (estimated from capacity).
     pub map_bytes: usize,
-    /// The refcount ladder (allocated only when reclamation is in use).
+    /// The refcount/generation ladder (allocated only when reclamation
+    /// is in use).
     pub ref_bytes: usize,
     /// Cumulative strings reclaimed over the process lifetime.
     pub reclaimed_strings: usize,
@@ -866,6 +910,7 @@ mod tests {
 
     #[test]
     fn mem_footprint_accounts_growth() {
+        let _lock = reclaim_lock();
         let before = ValuePool::mem_footprint();
         assert_eq!(
             before.bytes,
@@ -878,7 +923,7 @@ mod tests {
         let payload = "footprint-probe-with-a-reasonably-long-payload";
         let _ = ValuePool::intern(payload);
         let after = ValuePool::mem_footprint();
-        assert_eq!(after.strings, before.strings + 1);
+        assert!(after.strings > before.strings);
         assert!(after.string_bytes >= before.string_bytes + payload.len());
         assert!(after.bytes > before.bytes);
         assert!(after.chunk_bytes >= 64 * std::mem::size_of::<Slot>());
@@ -901,66 +946,162 @@ mod tests {
         ValuePool::retain(id);
         ValuePool::retain(id);
         assert_eq!(ValuePool::refcount(id), 2);
-        assert!(!ValuePool::release(id));
-        assert!(ValuePool::release(id), "last release reports zero");
+        assert_eq!(ValuePool::release(id), None);
+        assert_eq!(
+            ValuePool::release(id),
+            Some(ValuePool::generation(id)),
+            "last release reports zero with the current generation"
+        );
         assert_eq!(ValuePool::refcount(id), 0);
         // Null ids are inert on every refcount path.
         ValuePool::retain(ValueId::NULL);
-        assert!(!ValuePool::release(ValueId::NULL));
+        assert_eq!(ValuePool::release(ValueId::NULL), None);
         assert_eq!(ValuePool::refcount(ValueId::NULL), 0);
+    }
+
+    /// Serializes the tests that reclaim or assert on process-wide pool
+    /// counters, so no reclaim runs under another's measurement. Other
+    /// tests keep interning concurrently, which only ever grows the
+    /// counters and pops the free list — the assertions allow for both.
+    fn reclaim_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Make `s` a reclaim candidate: retain it once and release it,
+    /// returning the `(id, generation)` pair the release reported.
+    fn candidate(s: &str) -> (ValueId, u32) {
+        let id = ValuePool::intern(s);
+        ValuePool::retain(id);
+        (id, ValuePool::release(id).expect("sole reference"))
     }
 
     #[test]
     fn reclaim_frees_recycles_and_tags() {
+        let _lock = reclaim_lock();
         // Strings unique to this test: the reclaim contract demands the
         // caller's value space be disjoint from other pool users.
-        let a = ValuePool::intern("rcl-pool-test-aaaa");
-        let b = ValuePool::intern("rcl-pool-test-bbbb");
-        ValuePool::retain(a);
-        ValuePool::retain(b);
-        let live_before = ValuePool::live_strings();
-        let gen_before = ValuePool::generation(a);
+        let (a, ga) = candidate("rcl-pool-test-aaaa");
+        let (b, gb) = candidate("rcl-pool-test-bbbb");
 
-        // A still-retained id must survive a reclaim attempt.
-        let none = ValuePool::reclaim([a]);
+        // A re-retained id must survive a reclaim attempt.
+        ValuePool::retain(a);
+        // SAFETY: the `rcl-pool-test-*` strings are unique to this test.
+        let none = unsafe { ValuePool::reclaim([(a, ga)]) };
         assert_eq!(none.strings, 0);
         assert_eq!(ValuePool::resolve(a), "rcl-pool-test-aaaa");
+        assert_eq!(ValuePool::release(a), Some(ga));
 
-        ValuePool::release(a);
-        ValuePool::release(b);
-        let stats = ValuePool::reclaim([a, b]);
+        let reclaimed_before = ValuePool::reclaimed();
+        // SAFETY: as above; nothing resolves these strings any more.
+        let stats = unsafe { ValuePool::reclaim([(a, ga), (b, gb)]) };
         assert_eq!(stats.strings, 2);
         assert_eq!(stats.bytes, "rcl-pool-test-aaaa".len() * 2);
-        assert_eq!(ValuePool::live_strings(), live_before - 2);
-        assert_eq!(ValuePool::generation(a), gen_before + 1);
-        // The string is gone from the map and the slot is fail-stop.
+        assert_eq!(
+            ValuePool::reclaimed(),
+            (reclaimed_before.0 + 2, reclaimed_before.1 + stats.bytes)
+        );
+        assert_eq!(ValuePool::generation(a), ga + 1);
+        assert_eq!(ValuePool::generation(b), gb + 1);
+        // The string is gone from the map, and the slot is fail-stop
+        // (or already recycled for another test's string).
         assert_eq!(ValuePool::lookup("rcl-pool-test-aaaa"), None);
-        assert!(std::panic::catch_unwind(|| ValuePool::resolve(a)).is_err());
-        // Double reclaim is a no-op.
-        assert_eq!(ValuePool::reclaim([a]).strings, 0);
+        let stale = std::panic::catch_unwind(|| ValuePool::resolve(a));
+        assert_ne!(stale.ok(), Some("rcl-pool-test-aaaa"));
+        // Stale pairs are no-ops, recycled or not.
+        // SAFETY: reclaims nothing.
+        assert_eq!(unsafe { ValuePool::reclaim([(a, ga), (b, gb)]) }.strings, 0);
 
-        // Re-interning recycles a freed id (watermark does not grow).
-        let len_before = ValuePool::len();
-        let a2 = ValuePool::intern("rcl-pool-test-cccc");
-        assert_eq!(ValuePool::len(), len_before);
-        assert!(a2 == a || a2 == b, "freed id recycled");
-        assert_eq!(ValuePool::resolve(a2), "rcl-pool-test-cccc");
+        // Re-interning recycles a freed id: this intern gets one, or a
+        // concurrent test's intern already took both.
+        let c = ValuePool::intern("rcl-pool-test-cccc");
+        assert_eq!(ValuePool::resolve(c), "rcl-pool-test-cccc");
+        assert!(
+            c == a || c == b || (store().get(a.raw()).is_some() && store().get(b.raw()).is_some()),
+            "freed ids are recycled"
+        );
+    }
+
+    #[test]
+    fn stale_pairs_never_free_recycled_slots() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        let _lock = reclaim_lock();
+        const N: usize = 64;
+        let old: Vec<(ValueId, u32)> = (0..N)
+            .map(|i| candidate(&format!("rcl-aba-old-{i}")))
+            .collect();
+        // SAFETY: the `rcl-aba-*` strings are unique to this test.
+        assert_eq!(unsafe { ValuePool::reclaim(old.clone()) }.strings, N);
+
+        // Every pair in `old` is now stale. One thread re-interns into
+        // the recycled slots while another keeps reclaiming the stale
+        // pairs — starting together, and once more after the last intern.
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(2);
+        let (freed, fresh) = std::thread::scope(|scope| {
+            let reclaimer = scope.spawn(|| {
+                start.wait();
+                let mut freed = 0;
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    // SAFETY: every pair is stale, so the generation
+                    // check frees nothing; were a new string freed, the
+                    // resolve checks below would fail (and ASan flag it).
+                    freed += unsafe { ValuePool::reclaim(old.iter().copied()) }.strings;
+                    if finished {
+                        return freed;
+                    }
+                }
+            });
+            start.wait();
+            let fresh: Vec<(ValueId, String)> = (0..N)
+                .map(|i| {
+                    let s = format!("rcl-aba-new-{i}");
+                    (ValuePool::intern(&s), s)
+                })
+                .collect();
+            done.store(true, Ordering::Release);
+            (reclaimer.join().expect("reclaimer thread"), fresh)
+        });
+        assert_eq!(freed, 0, "a stale pair freed a string");
+
+        // The free list is LIFO and no other reclaim runs, so N interns
+        // since the reclaim recycled every old slot.
+        for (id, _) in &old {
+            assert!(
+                store().get(id.raw()).is_some(),
+                "slot {} recycled",
+                id.raw()
+            );
+        }
+        // Two more rounds run every deferred drop: the new strings must
+        // still resolve.
+        // SAFETY: reclaims nothing.
+        unsafe {
+            ValuePool::reclaim([]);
+            ValuePool::reclaim([]);
+        }
+        for (id, s) in &fresh {
+            assert_eq!(ValuePool::resolve(*id), s);
+        }
     }
 
     #[test]
     fn footprint_tracks_reclamation() {
+        let _lock = reclaim_lock();
         let s = "rcl-footprint-probe-string-payload";
-        let id = ValuePool::intern(s);
-        ValuePool::retain(id);
-        ValuePool::release(id);
+        let pair = candidate(s);
         let before = ValuePool::mem_footprint();
-        let stats = ValuePool::reclaim([id]);
+        // SAFETY: the probe string is unique to this test.
+        let stats = unsafe { ValuePool::reclaim([pair]) };
         assert_eq!(stats.strings, 1);
         let after = ValuePool::mem_footprint();
-        assert_eq!(after.strings, before.strings - 1);
-        assert_eq!(after.string_bytes, before.string_bytes - s.len());
         assert_eq!(after.reclaimed_strings, before.reclaimed_strings + 1);
         assert_eq!(after.reclaimed_bytes, before.reclaimed_bytes + s.len());
+        assert_eq!(ValuePool::lookup(s), None);
     }
 }
 

@@ -201,9 +201,10 @@ pub struct Table {
     epoch: u64,
     /// Does every live cell hold a [`ValuePool`] refcount?
     refcounted: bool,
-    /// Ids whose [`ValuePool::release`] here dropped the shared count to
-    /// zero — reclaim candidates, drained by the engine at the barrier.
-    reclaim: Vec<ValueId>,
+    /// `(id, generation)` pairs whose [`ValuePool::release`] here dropped
+    /// the shared count to zero — reclaim candidates, drained by the
+    /// engine at the barrier.
+    reclaim: Vec<(ValueId, u32)>,
 }
 
 /// A clone of a [`Table`] shares every storage chunk and does *not*
@@ -344,7 +345,7 @@ impl Table {
         self.rows += 1;
         self.live.push(true);
         // `table.*` counters aggregate over every Table in the process —
-        // under sharding that includes each worker's replica.
+        // the CLI's loaded table as well as the engine's own.
         obs::counter!("table.push").incr();
         Ok(id)
     }
@@ -373,31 +374,6 @@ impl Table {
         Ok(id)
     }
 
-    /// [`Table::push_id_row`] from a borrowed slice — the sharded
-    /// engine's per-replica apply path, which would otherwise clone the
-    /// cell vector once per worker.
-    pub fn push_id_cells(&mut self, row: &[ValueId]) -> Result<RowId, TableError> {
-        if row.len() != self.schema.arity() {
-            return Err(TableError::ArityMismatch {
-                row: self.rows,
-                found: row.len(),
-                expected: self.schema.arity(),
-            });
-        }
-        let refcounted = self.refcounted;
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            if refcounted {
-                ValuePool::retain(*v);
-            }
-            col.push(*v);
-        }
-        let id = self.rows;
-        self.rows += 1;
-        self.live.push(true);
-        obs::counter!("table.push").incr();
-        Ok(id)
-    }
-
     /// Tombstone one live row. The slot (and its last cell contents)
     /// remains addressable — `RowId`s held elsewhere stay valid — but
     /// live-row iteration and [`Table::live_rows`] no longer see it.
@@ -412,8 +388,8 @@ impl Table {
         if self.refcounted {
             for c in 0..self.columns.len() {
                 let id = self.columns[c].get(row);
-                if ValuePool::release(id) {
-                    self.reclaim.push(id);
+                if let Some(generation) = ValuePool::release(id) {
+                    self.reclaim.push((id, generation));
                 }
             }
         }
@@ -448,8 +424,8 @@ impl Table {
             ValuePool::retain(id);
             let old = self.columns[col].get(row);
             self.columns[col].set(row, id);
-            if ValuePool::release(old) {
-                self.reclaim.push(old);
+            if let Some(generation) = ValuePool::release(old) {
+                self.reclaim.push((old, generation));
             }
         } else {
             self.columns[col].set(row, id);
@@ -468,23 +444,6 @@ impl Table {
         self.require_live(row)?;
         for (c, v) in cells.into_iter().enumerate() {
             self.overwrite_cell(row, c, v);
-        }
-        obs::counter!("table.update").incr();
-        Ok(())
-    }
-
-    /// [`Table::update_id_row`] from a borrowed slice.
-    pub fn update_id_cells(&mut self, row: RowId, cells: &[ValueId]) -> Result<(), TableError> {
-        if cells.len() != self.schema.arity() {
-            return Err(TableError::ArityMismatch {
-                row,
-                found: cells.len(),
-                expected: self.schema.arity(),
-            });
-        }
-        self.require_live(row)?;
-        for (c, v) in cells.iter().enumerate() {
-            self.overwrite_cell(row, c, *v);
         }
         obs::counter!("table.update").incr();
         Ok(())
@@ -764,11 +723,12 @@ impl Table {
         self.refcounted
     }
 
-    /// Drain the accumulated reclaim candidates: ids whose release
-    /// *here* dropped the shared pool count to zero. The engine rechecks
-    /// each against the live refcount (and its own protected set) at the
-    /// compaction barrier before sweeping.
-    pub fn take_reclaim_candidates(&mut self) -> Vec<ValueId> {
+    /// Drain the accumulated reclaim candidates: `(id, generation)`
+    /// pairs whose release *here* dropped the shared pool count to zero.
+    /// The engine rechecks each against the live refcount (and its own
+    /// protected set) at the compaction barrier before sweeping, and
+    /// [`ValuePool::reclaim`] skips any whose generation moved on.
+    pub fn take_reclaim_candidates(&mut self) -> Vec<(ValueId, u32)> {
         std::mem::take(&mut self.reclaim)
     }
 }
@@ -1286,7 +1246,11 @@ mod tests {
         t.delete_row(0).unwrap();
         assert_eq!(ValuePool::refcount(k1), 0);
         assert_eq!(ValuePool::refcount(shared), 1);
-        let cand = t.take_reclaim_candidates();
+        let cand: Vec<ValueId> = t
+            .take_reclaim_candidates()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         assert!(cand.contains(&k1));
         assert!(!cand.contains(&shared));
         // Update releases the old cell and retains the new one.
@@ -1298,7 +1262,11 @@ mod tests {
         assert_eq!(ValuePool::refcount(shared), 0);
         let k2 = ValuePool::lookup("rcl-table-k2").unwrap();
         assert_eq!(ValuePool::refcount(k2), 0);
-        let cand = t.take_reclaim_candidates();
+        let cand: Vec<ValueId> = t
+            .take_reclaim_candidates()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         assert!(cand.contains(&shared) && cand.contains(&k2));
         assert_eq!(ValuePool::refcount(t.cell_id(1, 0)), 1);
     }

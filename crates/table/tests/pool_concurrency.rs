@@ -1,5 +1,5 @@
-//! `ValuePool` concurrency smoke test — the contract the sharded stream
-//! engine leans on: many threads racing `intern` / `intern_batch` /
+//! `ValuePool` concurrency smoke test — the contract the parallel
+//! discovery threads lean on: many threads racing `intern` / `intern_batch` /
 //! `resolve` on overlapping strings must agree on one id per string,
 //! resolution must round-trip under contention, and the lock-free
 //! resolve path must keep making progress while writers hold the

@@ -25,8 +25,39 @@
 
 use anmat::obs;
 use anmat::prelude::*;
+use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
+
+/// `println!` for the CLI's stdout, through [`emit`]: a reader that
+/// closes the pipe early (`anmat discover … | head -3`) silences the
+/// rest of the output instead of panicking mid-listing.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Set once stdout's reader has gone away; later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write to stdout. A closed pipe (`BrokenPipe`) is not an error — the
+/// reader has everything it wanted — so further output is suppressed
+/// and the command still finishes its file and store writes. Any other
+/// write error panics, exactly as `print!` would.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,7 +68,7 @@ fn main() -> ExitCode {
         Some("detect") => cmd_detect(&args[1..]),
         Some("stream") => cmd_stream(&args[1..]),
         Some("help" | "--help" | "-h") => {
-            print!("{}", usage());
+            emit(format_args!("{}", usage()));
             Ok(())
         }
         None => {
@@ -72,7 +103,6 @@ fn usage() -> String {
      \x20 anmat detect   <data.csv> (--store DIR | --rules FILE)\n\
      \x20                [--confirmed-only] [--repair OUT.csv]\n\
      \x20 anmat stream   <data.csv> (--store DIR | --rules FILE) [--batch N]\n\
-     \x20                [--shards N] [--shard-by rule|key] [--run-ahead N]\n\
      \x20                [--ops FILE] [--confirmed-only] [--quiet]\n\
      \x20                [--demote-drifted] [--violations F] [--min-support N]\n\
      \x20                [--compact-ratio R] [--reclaim] [--checkpoint]\n\
@@ -86,13 +116,7 @@ fn usage() -> String {
      \x20                spelled --interpret); output is bit-for-bit\n\
      \x20                identical across all three;\n\
      \x20                drift thresholds: pass the values the rules were\n\
-     \x20                discovered with; --shards N > 1 spreads rule state\n\
-     \x20                over N worker threads, same output bit-for-bit;\n\
-     \x20                --shard-by key hashes blocking keys across the\n\
-     \x20                workers instead, so even one heavy rule uses every\n\
-     \x20                core; --run-ahead N lets workers run up to N\n\
-     \x20                batches ahead of the merge — output is still\n\
-     \x20                bit-for-bit identical for any axis and window;\n\
+     \x20                discovered with;\n\
      \x20                --compact-ratio R reclaims tombstoned slots once\n\
      \x20                they exceed fraction R of the table, renumbering\n\
      \x20                rows via an epoch-stamped remap;\n\
@@ -115,15 +139,18 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Pull `--flag value` out of an argument list; returns remaining args.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let idx = args.iter().position(|a| a == flag)?;
+/// Pull `--flag value` out of an argument list. A flag without a value
+/// is an error, never silently dropped.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(idx) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
     if idx + 1 >= args.len() {
-        return None;
+        return Err(format!("{flag} needs a value"));
     }
     let value = args.remove(idx + 1);
     args.remove(idx);
-    Some(value)
+    Ok(Some(value))
 }
 
 /// Pull a boolean `--flag`.
@@ -136,6 +163,40 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// Fail on the first argument no flag consumed: a misspelt or retired
+/// flag must not run as if it were absent.
+fn no_leftovers(command: &str, args: &[String]) -> Result<(), String> {
+    match args.first() {
+        Some(arg) => Err(format!("{command}: unexpected argument `{arg}`")),
+        None => Ok(()),
+    }
+}
+
+/// The `<data.csv>` positional left once every flag was taken; anything
+/// else still left over is an error naming it.
+fn sole_path(command: &str, mut args: Vec<String>) -> Result<String, String> {
+    if args.first().is_some_and(|a| !a.starts_with("--")) {
+        let path = args.remove(0);
+        no_leftovers(command, &args)?;
+        return Ok(path);
+    }
+    no_leftovers(command, &args)?;
+    Err(format!("{command}: missing <data.csv>"))
+}
+
+/// Fail unless `dataset` is in the store, naming both and the command
+/// that creates it.
+fn require_dataset(store: &RuleStore, dir: &str, dataset: &str, csv: &str) -> Result<(), String> {
+    if store.contains(dataset) {
+        Ok(())
+    } else {
+        Err(format!(
+            "dataset `{dataset}` is not in store `{dir}` \
+             (create it with `anmat discover {csv} --store {dir}`)"
+        ))
+    }
+}
+
 fn dataset_name(path: &str) -> String {
     std::path::Path::new(path)
         .file_stem()
@@ -145,25 +206,25 @@ fn dataset_name(path: &str) -> String {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("profile: missing <data.csv>")?;
-    let table = csv::read_path(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let path = sole_path("profile", args.to_vec())?;
+    let table = csv::read_path(&path).map_err(|e| format!("reading {path}: {e}"))?;
     let profile = TableProfile::profile(&table);
-    print!("{}", report::profiling_view(&table, &profile));
+    emit(format_args!("{}", report::profiling_view(&table, &profile)));
     Ok(())
 }
 
 fn cmd_discover(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let store_dir = take_flag(&mut args, "--store");
-    let coverage = take_flag(&mut args, "--coverage");
-    let violations = take_flag(&mut args, "--violations");
-    let min_support = take_flag(&mut args, "--min-support");
+    let store_dir = take_flag(&mut args, "--store")?;
+    let coverage = take_flag(&mut args, "--coverage")?;
+    let violations = take_flag(&mut args, "--violations")?;
+    let min_support = take_flag(&mut args, "--min-support")?;
     let paper_style = take_switch(&mut args, "--paper-style");
-    let path = args.first().ok_or("discover: missing <data.csv>")?;
-    let table = csv::read_path(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let path = sole_path("discover", args)?;
+    let table = csv::read_path(&path).map_err(|e| format!("reading {path}: {e}"))?;
 
     let mut config = DiscoveryConfig {
-        relation: dataset_name(path),
+        relation: dataset_name(&path),
         ..DiscoveryConfig::default()
     };
     if let Some(c) = coverage {
@@ -179,71 +240,79 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
         config.context_style = ContextStyle::AnyString;
     }
 
-    let profile = TableProfile::profile(&table);
     let pfds = discover(&table, &config);
-    println!("discovered {} PFD(s):", pfds.len());
-    for (i, pfd) in pfds.iter().enumerate() {
-        println!("\n[{i}] {:?}", pfd.kind());
-        for line in pfd.to_string().lines() {
-            println!("    {line}");
-        }
-        println!("    coverage {:.3}", pfd.coverage(&table));
-    }
-
-    if let Some(dir) = store_dir {
-        let store = RuleStore::open(&dir).map_err(|e| format!("opening store {dir}: {e}"))?;
+    // Save before printing: a reader that stops early (`| head`) ends
+    // the process at the first failed write, and the rules must already
+    // be on disk by then.
+    if let Some(dir) = &store_dir {
+        let store = RuleStore::open(dir).map_err(|e| format!("opening store {dir}: {e}"))?;
         let record = DatasetRecord {
-            name: dataset_name(path),
-            profile: Some(profile),
+            name: dataset_name(&path),
+            profile: Some(TableProfile::profile(&table)),
             rules: pfds
-                .into_iter()
+                .iter()
                 .map(|pfd| StoredRule {
-                    pfd,
+                    pfd: pfd.clone(),
                     status: RuleStatus::Pending,
                 })
                 .collect(),
         };
         store.save(&record).map_err(|e| format!("saving: {e}"))?;
-        println!("\nsaved to store `{dir}` as dataset `{}`", record.name);
+    }
+    out!("discovered {} PFD(s):", pfds.len());
+    for (i, pfd) in pfds.iter().enumerate() {
+        out!("\n[{i}] {:?}", pfd.kind());
+        for line in pfd.to_string().lines() {
+            out!("    {line}");
+        }
+        out!("    coverage {:.3}", pfd.coverage(&table));
+    }
+    if let Some(dir) = store_dir {
+        out!(
+            "\nsaved to store `{dir}` as dataset `{}`",
+            dataset_name(&path)
+        );
     }
     Ok(())
 }
 
 fn cmd_rules(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let dir = take_flag(&mut args, "--store").ok_or("rules: missing --store DIR")?;
-    let dataset = take_flag(&mut args, "--dataset").ok_or("rules: missing --dataset NAME")?;
-    let confirm = take_flag(&mut args, "--confirm");
-    let reject = take_flag(&mut args, "--reject");
+    let dir = take_flag(&mut args, "--store")?.ok_or("rules: missing --store DIR")?;
+    let dataset = take_flag(&mut args, "--dataset")?.ok_or("rules: missing --dataset NAME")?;
+    let confirm = take_flag(&mut args, "--confirm")?;
+    let reject = take_flag(&mut args, "--reject")?;
+    no_leftovers("rules", &args)?;
     let store = RuleStore::open(&dir).map_err(|e| format!("opening store {dir}: {e}"))?;
+    require_dataset(&store, &dir, &dataset, &format!("{dataset}.csv"))?;
 
     if let Some(n) = confirm {
         let idx: usize = n.parse().map_err(|_| format!("bad --confirm `{n}`"))?;
         store
             .set_status(&dataset, idx, RuleStatus::Confirmed)
             .map_err(|e| e.to_string())?;
-        println!("rule {idx} confirmed");
+        out!("rule {idx} confirmed");
     }
     if let Some(n) = reject {
         let idx: usize = n.parse().map_err(|_| format!("bad --reject `{n}`"))?;
         store
             .set_status(&dataset, idx, RuleStatus::Rejected)
             .map_err(|e| e.to_string())?;
-        println!("rule {idx} rejected");
+        out!("rule {idx} rejected");
     }
 
     let record = store
         .load(&dataset)
         .map_err(|e| format!("loading `{dataset}`: {e}"))?;
-    println!(
+    out!(
         "dataset `{}` — {} rule(s):",
         record.name,
         record.rules.len()
     );
     for (i, rule) in record.rules.iter().enumerate() {
-        println!("\n[{i}] {:?}", rule.status);
+        out!("\n[{i}] {:?}", rule.status);
         for line in rule.pfd.to_string().lines() {
-            println!("    {line}");
+            out!("    {line}");
         }
     }
     Ok(())
@@ -263,8 +332,10 @@ fn load_rules(
 ) -> Result<(Vec<Pfd>, Vec<usize>), String> {
     let (pfds, indices): (Vec<Pfd>, Vec<usize>) = if let Some(dir) = store_dir {
         let store = RuleStore::open(dir).map_err(|e| format!("opening store {dir}: {e}"))?;
+        let dataset = dataset_name(data_path);
+        require_dataset(&store, dir, &dataset, data_path)?;
         let record = store
-            .load(&dataset_name(data_path))
+            .load(&dataset)
             .map_err(|e| format!("loading rules: {e}"))?;
         record
             .rules
@@ -293,30 +364,33 @@ fn load_rules(
 
 fn cmd_detect(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let store_dir = take_flag(&mut args, "--store");
-    let rules_file = take_flag(&mut args, "--rules");
+    let store_dir = take_flag(&mut args, "--store")?;
+    let rules_file = take_flag(&mut args, "--rules")?;
     let confirmed_only = take_switch(&mut args, "--confirmed-only");
-    let repair_out = take_flag(&mut args, "--repair");
-    let path = args.first().ok_or("detect: missing <data.csv>")?;
-    let mut table = csv::read_path(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let repair_out = take_flag(&mut args, "--repair")?;
+    let path = sole_path("detect", args)?;
+    let mut table = csv::read_path(&path).map_err(|e| format!("reading {path}: {e}"))?;
 
     let (pfds, _) = load_rules(
         "detect",
-        path,
+        &path,
         store_dir.as_deref(),
         rules_file.as_deref(),
         confirmed_only,
     )?;
 
     let violations = detect_all(&table, &pfds);
-    print!("{}", report::violations_view(&table, &violations));
+    emit(format_args!(
+        "{}",
+        report::violations_view(&table, &violations)
+    ));
 
     if let Some(out) = repair_out {
         let reports = repair_to_fixpoint(&mut table, &pfds, 5);
         let applied: usize = reports.iter().map(RepairReport::applied_count).sum();
         let conflicts: usize = reports.iter().map(|r| r.conflicts.len()).sum();
         csv::write_path(&table, &out).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("\nrepaired {applied} cell(s) ({conflicts} conflict(s) left untouched) → {out}");
+        out!("\nrepaired {applied} cell(s) ({conflicts} conflict(s) left untouched) → {out}");
     }
     Ok(())
 }
@@ -366,124 +440,11 @@ fn parse_ops(text: &str) -> Result<Vec<RowOp>, String> {
     Ok(ops)
 }
 
-/// The two engine flavours behind `anmat stream`, dispatched on
-/// `--shards`: identical observable behaviour (the sharded engine's
-/// determinism contract), different execution.
-enum AnyEngine {
-    Single(StreamEngine),
-    Sharded(ShardedEngine),
-}
-
-impl AnyEngine {
-    /// Ingest one replay batch. The sharded engine goes through its
-    /// pipelined `submit` path — with `--run-ahead 0` that merges
-    /// synchronously (identical to the classic call), with a window it
-    /// returns whichever older batches completed; either way events
-    /// come back in submission order. Callers must [`AnyEngine::flush`]
-    /// at end of stream.
-    fn push_id_batch(&mut self, rows: Vec<Vec<ValueId>>) -> Result<Vec<LedgerEvent>, String> {
-        match self {
-            AnyEngine::Single(e) => e.push_id_batch(rows),
-            AnyEngine::Sharded(e) => e
-                .submit_id_batch(rows)
-                .map(|batches| batches.into_iter().flat_map(|b| b.events).collect()),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    /// Drain any pipelined batches still in flight; their events come
-    /// back in submission order. No-op for the single-threaded engine.
-    fn flush(&mut self) -> Vec<LedgerEvent> {
-        match self {
-            AnyEngine::Single(_) => Vec::new(),
-            AnyEngine::Sharded(e) => e.flush().into_iter().flat_map(|b| b.events).collect(),
-        }
-    }
-
-    fn apply(&mut self, ops: Vec<RowOp>) -> Result<Vec<LedgerEvent>, String> {
-        match self {
-            AnyEngine::Single(e) => e.apply(ops),
-            AnyEngine::Sharded(e) => e.apply(ops),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    fn ledger(&self) -> &ViolationLedger {
-        match self {
-            AnyEngine::Single(e) => e.ledger(),
-            AnyEngine::Sharded(e) => e.ledger(),
-        }
-    }
-
-    fn live_rows(&self) -> usize {
-        match self {
-            AnyEngine::Single(e) => e.live_rows(),
-            AnyEngine::Sharded(e) => e.live_rows(),
-        }
-    }
-
-    fn row_count(&self) -> usize {
-        match self {
-            AnyEngine::Single(e) => e.row_count(),
-            AnyEngine::Sharded(e) => e.row_count(),
-        }
-    }
-
-    fn drift_report(&self) -> Vec<DriftReport> {
-        match self {
-            AnyEngine::Single(e) => e.drift_report(),
-            AnyEngine::Sharded(e) => e.drift_report(),
-        }
-    }
-
-    fn compaction_stats(&self) -> CompactionStats {
-        match self {
-            AnyEngine::Single(e) => e.compaction_stats(),
-            AnyEngine::Sharded(e) => e.compaction_stats(),
-        }
-    }
-
-    fn mem_footprint(&self) -> MemFootprint {
-        match self {
-            AnyEngine::Single(e) => e.table().mem_footprint(),
-            AnyEngine::Sharded(e) => e.table().mem_footprint(),
-        }
-    }
-
-    fn publish_metrics(&mut self) {
-        match self {
-            AnyEngine::Single(e) => e.publish_metrics(),
-            AnyEngine::Sharded(e) => e.publish_metrics(),
-        }
-    }
-
-    /// Lifetime string reclamation by this engine's sweeps.
-    fn reclaim_stats(&self) -> ReclaimStats {
-        match self {
-            AnyEngine::Single(e) => e.reclaim_stats(),
-            AnyEngine::Sharded(e) => e.reclaim_stats(),
-        }
-    }
-
-    /// A copy-on-write snapshot of the table + ledger. The sharded
-    /// engine drains its pipeline first, so the view sits at a clean
-    /// epoch barrier on every replica.
-    fn snapshot(&mut self) -> EngineSnapshot {
-        match self {
-            AnyEngine::Single(e) => e.snapshot(),
-            AnyEngine::Sharded(e) => e.snapshot(),
-        }
-    }
-}
-
 /// One `stats:` line from the live metrics registry — the deterministic
 /// figures always, the wall-clock rate only when timing output is
 /// allowed (it is nondeterministic, so `--quiet`/`ANMAT_NO_TIMING`
 /// suppress it).
-fn print_stats_line(engine: &mut AnyEngine, started: Instant, timing: bool) {
-    // Note the stats round-trip drains the pipeline, so the figures are
-    // a consistent point-in-time snapshot; `merge.lag_batches` still
-    // records how deep the run-ahead window actually got.
+fn print_stats_line(engine: &StreamEngine, started: Instant, timing: bool) {
     engine.publish_metrics();
     let snap = obs::MetricsSnapshot::capture();
     let slots = snap.gauge("table.slots").unwrap_or(0);
@@ -509,15 +470,6 @@ fn print_stats_line(engine: &mut AnyEngine, started: Instant, timing: bool) {
             snap.gauge("pool.freed_bytes").unwrap_or(0)
         ));
     }
-    if let Some(h) = snap.histogram("merge.lag_batches") {
-        if h.count > 0 {
-            line.push_str(&format!(
-                ", pipeline lag avg {:.2} batch(es) over {} merge(s)",
-                h.sum as f64 / h.count as f64,
-                h.count
-            ));
-        }
-    }
     if timing {
         let secs = started.elapsed().as_secs_f64();
         let ops = snap.counter("engine.ops").unwrap_or(0);
@@ -525,21 +477,21 @@ fn print_stats_line(engine: &mut AnyEngine, started: Instant, timing: bool) {
             line.push_str(&format!(", {:.0} rows/s", ops as f64 / secs));
         }
     }
-    println!("{line}");
+    out!("{line}");
 }
 
 fn cmd_stream(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let store_dir = take_flag(&mut args, "--store");
-    let rules_file = take_flag(&mut args, "--rules");
-    let ops_file = take_flag(&mut args, "--ops");
+    let store_dir = take_flag(&mut args, "--store")?;
+    let rules_file = take_flag(&mut args, "--rules")?;
+    let ops_file = take_flag(&mut args, "--ops")?;
     let confirmed_only = take_switch(&mut args, "--confirmed-only");
     let quiet = take_switch(&mut args, "--quiet");
     let demote_drifted = take_switch(&mut args, "--demote-drifted");
     let reclaim = take_switch(&mut args, "--reclaim");
     let checkpoint = take_switch(&mut args, "--checkpoint");
     let interpret = take_switch(&mut args, "--interpret");
-    let pattern_engine = match take_flag(&mut args, "--pattern-engine") {
+    let pattern_engine = match take_flag(&mut args, "--pattern-engine")? {
         Some(s) => s
             .parse::<PatternEngine>()
             .map_err(|e| format!("bad --pattern-engine: {e}"))?,
@@ -548,8 +500,8 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         None if interpret => PatternEngine::Interp,
         None => PatternEngine::Fused,
     };
-    let metrics_out = take_flag(&mut args, "--metrics-out");
-    let stats_every: Option<usize> = match take_flag(&mut args, "--stats-every") {
+    let metrics_out = take_flag(&mut args, "--metrics-out")?;
+    let stats_every: Option<usize> = match take_flag(&mut args, "--stats-every")? {
         Some(n) => Some(
             n.parse()
                 .ok()
@@ -558,7 +510,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         ),
         None => None,
     };
-    let batch: usize = match take_flag(&mut args, "--batch") {
+    let batch: usize = match take_flag(&mut args, "--batch")? {
         Some(n) => n
             .parse()
             .ok()
@@ -573,33 +525,14 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         reclaim,
         ..StreamConfig::default()
     };
-    if let Some(v) = take_flag(&mut args, "--violations") {
+    if let Some(v) = take_flag(&mut args, "--violations")? {
         stream_config.max_violation_ratio =
             v.parse().map_err(|_| format!("bad --violations `{v}`"))?;
     }
-    if let Some(s) = take_flag(&mut args, "--min-support") {
+    if let Some(s) = take_flag(&mut args, "--min-support")? {
         stream_config.min_support = s.parse().map_err(|_| format!("bad --min-support `{s}`"))?;
     }
-    if let Some(n) = take_flag(&mut args, "--shards") {
-        stream_config.shards = n
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or(format!("bad --shards `{n}` (want a positive integer)"))?;
-    }
-    if let Some(axis) = take_flag(&mut args, "--shard-by") {
-        stream_config.shard_by = match axis.as_str() {
-            "rule" => ShardBy::Rule,
-            "key" => ShardBy::Key,
-            other => return Err(format!("bad --shard-by `{other}` (want rule|key)")),
-        };
-    }
-    if let Some(n) = take_flag(&mut args, "--run-ahead") {
-        stream_config.run_ahead = n.parse().ok().ok_or(format!(
-            "bad --run-ahead `{n}` (want a non-negative integer)"
-        ))?;
-    }
-    if let Some(r) = take_flag(&mut args, "--compact-ratio") {
+    if let Some(r) = take_flag(&mut args, "--compact-ratio")? {
         stream_config.compact_ratio =
             r.parse()
                 .ok()
@@ -614,7 +547,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if checkpoint && store_dir.is_none() {
         return Err("--checkpoint needs --store DIR".into());
     }
-    let path = args.first().ok_or("stream: missing <data.csv>")?;
+    let path = &sole_path("stream", args)?;
     // Timing output is wall-clock and thus nondeterministic; --quiet and
     // the ANMAT_NO_TIMING env hook (used by the CLI test suite, whose
     // assertions compare exact output) suppress it.
@@ -636,38 +569,9 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         confirmed_only,
     )?;
     let rule_count = pfds.len();
-    let mut engine = if stream_config.shards > 1 {
-        AnyEngine::Sharded(ShardedEngine::with_config(
-            table.schema().clone(),
-            pfds,
-            stream_config,
-        ))
-    } else {
-        AnyEngine::Single(StreamEngine::with_config(
-            table.schema().clone(),
-            pfds,
-            stream_config,
-        ))
-    };
-    // Report the *effective* worker count (the engine clamps --shards
-    // to the rule count in rule mode, to the key-slot count in key
-    // mode) plus any non-default axis/pipelining choices.
-    let sharding = match &engine {
-        AnyEngine::Sharded(e) => {
-            let mut s = format!(", {} shard(s)", e.shard_count());
-            if e.shard_by() == ShardBy::Key {
-                s.push_str(" by key");
-            }
-            if e.run_ahead() > 0 {
-                s.push_str(&format!(", run-ahead {}", e.run_ahead()));
-            }
-            s
-        }
-        AnyEngine::Single(_) => String::new(),
-    };
-    println!(
-        "streaming {} row(s) from {path} through {rule_count} rule(s), batch size \
-         {batch}{sharding}",
+    let mut engine = StreamEngine::with_config(table.schema().clone(), pfds, stream_config);
+    out!(
+        "streaming {} row(s) from {path} through {rule_count} rule(s), batch size {batch}",
         table.row_count()
     );
     // Rows are already interned by the CSV read; stream them as ids so
@@ -685,22 +589,13 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("row {r}: {e}"))?;
             if !quiet {
                 for event in &events {
-                    println!("{}", render_event(event));
+                    out!("{}", render_event(event));
                 }
             }
             batches_done += 1;
             if stats_every.is_some_and(|every| batches_done.is_multiple_of(every)) {
-                print_stats_line(&mut engine, started, timing);
+                print_stats_line(&engine, started, timing);
             }
-        }
-    }
-    // With --run-ahead > 0 the last few batches may still be in flight:
-    // drain them so their events print and the timing figure covers the
-    // whole stream.
-    let tail = engine.flush();
-    if !quiet {
-        for event in &tail {
-            println!("{}", render_event(event));
         }
     }
     // Elapsed replay time flows through the obs layer (the summary
@@ -714,7 +609,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
         let ops = parse_ops(&text)?;
         applied_ops = ops.len();
-        println!("applying {} op(s) from {path}", ops.len());
+        out!("applying {} op(s) from {path}", ops.len());
         let ops_started = Instant::now();
         let events = engine
             .apply(ops)
@@ -723,15 +618,14 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             .record(u64::try_from(ops_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         if !quiet {
             for event in &events {
-                println!("{}", render_event(event));
+                out!("{}", render_event(event));
             }
         }
     }
 
     // Snapshot-backed checkpoint: the capture is O(chunks) chunk-handle
-    // clones behind the epoch barrier (the sharded engine drains its
-    // pipeline first), so a service would keep ingesting while the
-    // serialization below reads the frozen view.
+    // clones, so a service would keep ingesting while the serialization
+    // below reads the frozen view.
     if checkpoint {
         let dir = store_dir.as_deref().expect("validated before replay");
         let snap = engine.snapshot();
@@ -745,7 +639,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         );
         let out = format!("{dir}/{}.checkpoint.json", dataset_name(path));
         std::fs::write(&out, json).map_err(|e| format!("writing {out}: {e}"))?;
-        println!(
+        out!(
             "checkpoint: epoch {}, {} live row(s), {} live violation(s) written to {out} \
              (copy-on-write snapshot; ingest may continue)",
             snap.epoch(),
@@ -759,7 +653,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // Live rows, not raw push count: tombstoned slots are not data.
     // Compaction drops slots, so "ingested" adds the reclaimed ones
     // back — the figure stays the lifetime slot count either way.
-    println!(
+    out!(
         "\nfinal: {} live violation(s) ({} created, {} retracted) over {} live row(s) \
          ({} slot(s) ingested)",
         ledger.live_count(),
@@ -769,27 +663,20 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         engine.row_count() + compaction.reclaimed_slots
     );
     // Reclamation observability: epochs run, slots dropped, and the
-    // table's own memory. "Per table replica" states the scope exactly:
-    // the shared ValuePool is excluded (string bytes live once,
-    // process-wide), and under --shards the coordinator plus each of
-    // the N workers holds one replica this size — compaction shrinks
-    // all of them in lockstep. The line itself is shard-invariant, like
-    // everything below the header.
-    let footprint = engine.mem_footprint();
-    println!(
+    // engine table's own memory. The shared ValuePool is excluded
+    // (string bytes live once, process-wide) and reported below.
+    let footprint = engine.table().mem_footprint();
+    out!(
         "compaction: {} epoch(s) run, {} slot(s) reclaimed; table memory {} byte(s) \
-         per table replica over {} slot(s) ({} live)",
+         over {} slot(s) ({} live)",
         compaction.epochs,
         compaction.reclaimed_slots,
         footprint.bytes,
         footprint.total_slots,
         footprint.live_slots
     );
-    // The interning pool is process-global and shared by every replica,
-    // so unlike the table line it is counted once — and it is identical
-    // whatever --shards says (the coordinator interns once).
     let pool = ValuePool::mem_footprint();
-    println!(
+    out!(
         "pool: {} byte(s) interned over {} string(s) ({} chunk, {} entry, {} string, \
          {} map byte(s); shared process-wide)",
         pool.bytes,
@@ -806,7 +693,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     if reclaim {
         let (freed_strings, freed_bytes) = ValuePool::reclaimed();
         let swept = engine.reclaim_stats();
-        println!(
+        out!(
             "reclaim: {} string(s) / {} byte(s) freed process-wide ({} live string(s) \
              remain); this engine swept {} string(s) / {} byte(s)",
             freed_strings,
@@ -822,34 +709,13 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // but naturally differs across --pattern-engine modes.
     if recording {
         let snap = obs::MetricsSnapshot::capture();
-        println!(
+        out!(
             "pattern tiers: {} fused / {} vm / {} interp eval(s), engine {}",
             snap.counter("pattern.fused_evals").unwrap_or(0),
             snap.counter("pattern.vm_evals").unwrap_or(0),
             snap.counter("pattern.interp_evals").unwrap_or(0),
             stream_config.pattern_engine
         );
-        // Pipelining summary, only when a run-ahead window was in play:
-        // how deep the window actually ran (deterministic for a given
-        // batch size, unlike the wall-clock lines).
-        if let AnyEngine::Sharded(e) = &engine {
-            if e.run_ahead() > 0 {
-                if let Some(h) = snap.histogram("merge.lag_batches") {
-                    println!(
-                        "pipeline: run-ahead {}, {} merge(s), mean lag {:.2} batch(es), \
-                         max lag {}",
-                        e.run_ahead(),
-                        h.count,
-                        if h.count > 0 {
-                            h.sum as f64 / h.count as f64
-                        } else {
-                            0.0
-                        },
-                        h.max
-                    );
-                }
-            }
-        }
     }
     if timing {
         // Both figures come back out of the obs registry rather than a
@@ -862,7 +728,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             } else {
                 0.0
             };
-            println!("timing: streamed {replayed_rows} row(s) in {secs:.3}s ({rate:.0} rows/s)");
+            out!("timing: streamed {replayed_rows} row(s) in {secs:.3}s ({rate:.0} rows/s)");
         }
         if applied_ops > 0 {
             if let Some(h) = snap.histogram("cli.apply_ns") {
@@ -872,7 +738,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
                 } else {
                     0.0
                 };
-                println!("timing: applied {applied_ops} op(s) in {secs:.3}s ({rate:.0} ops/s)");
+                out!("timing: applied {applied_ops} op(s) in {secs:.3}s ({rate:.0} ops/s)");
             }
         }
     }
@@ -880,14 +746,14 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         engine.publish_metrics();
         let snap = obs::MetricsSnapshot::capture();
         std::fs::write(out, snap.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("metrics: full registry snapshot written to {out}");
+        out!("metrics: full registry snapshot written to {out}");
     }
 
     let drifted = engine.drift_report();
     if !drifted.is_empty() {
-        println!("\ndrifted rule(s) — confidence fell below the drift threshold:");
+        out!("\ndrifted rule(s) — confidence fell below the drift threshold:");
         for d in &drifted {
-            println!(
+            out!(
                 "  [{}] {}: confidence {:.3} < {:.3} ({} violation(s) in {} matched row(s))",
                 store_indices[d.rule],
                 d.dependency,
@@ -911,7 +777,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
                     demoted += 1;
                 }
             }
-            println!(
+            out!(
                 "  demoted {demoted} rule(s) to Pending in store `{dir}` \
                  (re-review with `anmat rules`)"
             );

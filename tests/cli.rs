@@ -95,10 +95,11 @@ fn stream_replays_csv_and_reports_violations() {
 }
 
 #[test]
-fn stream_shards_flag_is_output_invariant() {
-    // `--shards N` spreads rule state over N workers; the determinism
-    // contract says every printed line below the header is identical.
-    let dir = std::env::temp_dir().join(format!("anmat_cli_shards_{}", std::process::id()));
+fn stream_batch_size_is_output_invariant() {
+    // `--batch N` only changes how many rows each engine call ingests
+    // (and how much per-batch priming amortizes); every printed line
+    // below the header — events, summaries — must be identical.
+    let dir = std::env::temp_dir().join(format!("anmat_cli_batch_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let csv = dir.join("zips.csv");
@@ -131,49 +132,213 @@ fn stream_shards_flag_is_output_invariant() {
 
     let strip_header =
         |text: String| -> String { text.lines().skip(1).collect::<Vec<_>>().join("\n") };
-    let base = anmat(&[
-        "stream",
-        csv.to_str().unwrap(),
-        "--rules",
-        rules.to_str().unwrap(),
-    ]);
-    assert!(base.status.success(), "stream failed: {}", stderr(&base));
-    let sharded = anmat(&[
-        "stream",
-        csv.to_str().unwrap(),
-        "--rules",
-        rules.to_str().unwrap(),
-        "--shards",
-        "2",
-    ]);
+    let run = |batch: &str| {
+        anmat(&[
+            "stream",
+            csv.to_str().unwrap(),
+            "--rules",
+            rules.to_str().unwrap(),
+            "--batch",
+            batch,
+        ])
+    };
+    let single = run("1");
     assert!(
-        sharded.status.success(),
-        "sharded stream failed: {}",
-        stderr(&sharded)
+        single.status.success(),
+        "stream failed: {}",
+        stderr(&single)
+    );
+    let batched = run("3");
+    assert!(
+        batched.status.success(),
+        "batched stream failed: {}",
+        stderr(&batched)
     );
     assert!(
-        stdout(&sharded).contains("2 shard(s)"),
-        "header advertises sharding:\n{}",
-        stdout(&sharded)
+        stdout(&batched).contains("batch size 3"),
+        "header advertises the batch size:\n{}",
+        stdout(&batched)
     );
     assert_eq!(
-        strip_header(stdout(&base)),
-        strip_header(stdout(&sharded)),
-        "sharded output must be bit-for-bit identical below the header"
+        strip_header(stdout(&single)),
+        strip_header(stdout(&batched)),
+        "batched output must be bit-for-bit identical below the header"
     );
 
-    // Bad shard counts are rejected up front.
-    let bad = anmat(&[
-        "stream",
-        csv.to_str().unwrap(),
-        "--rules",
-        rules.to_str().unwrap(),
-        "--shards",
-        "0",
-    ]);
+    // Bad batch sizes are rejected up front.
+    let bad = run("0");
     assert!(!bad.status.success());
-    assert!(stderr(&bad).contains("bad --shards"));
+    assert!(stderr(&bad).contains("bad --batch"));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_subcommand_rejects_unconsumed_arguments() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_leftover_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, rules) = zips_fixture(&dir);
+    let (csv, rules) = (csv.to_str().unwrap(), rules.to_str().unwrap());
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let discovered = anmat(&["discover", csv, "--store", store, "--violations", "0.3"]);
+    assert!(discovered.status.success(), "{}", stderr(&discovered));
+
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["profile", csv, "extra.csv"],
+            "profile: unexpected argument `extra.csv`",
+        ),
+        (
+            &["discover", csv, "--bogus", "3"],
+            "discover: unexpected argument `--bogus`",
+        ),
+        (
+            &["rules", "--store", store, "--dataset", "zips", "--bogus"],
+            "rules: unexpected argument `--bogus`",
+        ),
+        (
+            &["detect", csv, "--rules", rules, "--bogus", "3"],
+            "detect: unexpected argument `--bogus`",
+        ),
+        (
+            &["stream", csv, "--store", store, "--bogus", "3"],
+            "stream: unexpected argument `--bogus`",
+        ),
+        (
+            &["stream", "--bogus", "3", csv, "--store", store],
+            "stream: unexpected argument `--bogus`",
+        ),
+        // The sharded engine is gone: its flag must fail loudly rather
+        // than run single-threaded without a word.
+        (
+            &["stream", csv, "--rules", rules, "--shards", "2"],
+            "stream: unexpected argument `--shards`",
+        ),
+        // A trailing flag with no value is an error, not a no-op.
+        (
+            &["stream", csv, "--store", store, "--batch"],
+            "--batch needs a value",
+        ),
+        (&["discover", csv, "--store"], "--store needs a value"),
+    ];
+    for (args, want) in cases {
+        let out = anmat(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
+        assert!(stdout(&out).is_empty(), "{args:?} runs nothing");
+        assert!(
+            stderr(&out).contains(want),
+            "{args:?}: want `{want}` in stderr:\n{}",
+            stderr(&out)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `anmat` with its stdout connected to a pipe whose reader is
+/// already gone — `anmat … | head -3` after `head` has exited.
+fn anmat_into_closed_pipe(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_anmat"))
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("anmat binary runs")
+}
+
+#[test]
+fn closed_stdout_is_quiet_and_keeps_every_file_write() {
+    // The reader goes away before the output is written. The closed pipe
+    // must end output quietly — exit 0, no panic, no backtrace — and
+    // every file or store write the command was asked for still happens.
+    let dir = std::env::temp_dir().join(format!("anmat_cli_pipe_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, rules) = zips_fixture(&dir);
+    let (csv, rules) = (csv.to_str().unwrap(), rules.to_str().unwrap());
+    let store = dir.join("store");
+    let repaired = dir.join("repaired.csv");
+    let metrics = dir.join("metrics.json");
+
+    let cases: [(&[&str], &std::path::Path); 3] = [
+        (
+            &[
+                "discover",
+                csv,
+                "--store",
+                store.to_str().unwrap(),
+                "--violations",
+                "0.3",
+            ],
+            &store.join("zips.json"),
+        ),
+        (
+            &[
+                "detect",
+                csv,
+                "--rules",
+                rules,
+                "--repair",
+                repaired.to_str().unwrap(),
+            ],
+            &repaired,
+        ),
+        (
+            &[
+                "stream",
+                csv,
+                "--rules",
+                rules,
+                "--metrics-out",
+                metrics.to_str().unwrap(),
+            ],
+            &metrics,
+        ),
+    ];
+    for (args, written) in cases {
+        let out = anmat_into_closed_pipe(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: exit status {:?}",
+            out.status
+        );
+        assert!(
+            stderr(&out).is_empty(),
+            "{args:?}: a closed stdout is not an error:\n{}",
+            stderr(&out)
+        );
+        assert!(written.exists(), "{args:?} wrote {}", written.display());
+    }
+    // The repair itself ran: the New York minority row was fixed.
+    let text = std::fs::read_to_string(&repaired).unwrap();
+    assert!(!text.contains("New York"), "repaired copy:\n{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stream_names_a_dataset_missing_from_the_store() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_nodataset_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, _) = zips_fixture(&dir);
+    let store = dir.join("store");
+    let store = store.to_str().unwrap();
+    let discovered = anmat(&["discover", csv.to_str().unwrap(), "--store", store]);
+    assert!(discovered.status.success(), "{}", stderr(&discovered));
+    let other = dir.join("other.csv");
+    std::fs::write(&other, "zip,city\n90001,Los Angeles\n").unwrap();
+
+    let out = anmat(&["stream", other.to_str().unwrap(), "--store", store]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(
+        err.contains(&format!("dataset `other` is not in store `{store}`")),
+        "names the dataset and the store:\n{err}"
+    );
+    assert!(err.contains("anmat discover"), "points at discover:\n{err}");
+    assert!(!err.contains("os error"), "no raw I/O error:\n{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -392,9 +557,7 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let (csv, rules) = zips_fixture(&dir);
-    // Mutations so the ledger sees churn, sharded so per-shard metrics
-    // register. One rule clamps --shards 2 down to 1 shard — still the
-    // sharded engine, so `shard.0.*` families appear.
+    // Mutations so the ledger sees churn.
     let ops = dir.join("fixes.ops");
     std::fs::write(&ops, "~,3,90004,Los Angeles\n-,0\n+,90005,Los Angeles\n").unwrap();
     let metrics = dir.join("metrics.json");
@@ -406,8 +569,6 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
         rules.to_str().unwrap(),
         "--ops",
         ops.to_str().unwrap(),
-        "--shards",
-        "2",
         "--metrics-out",
         metrics.to_str().unwrap(),
     ]);
@@ -443,14 +604,12 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
     let gauges = keys(section("gauges"));
     let histograms = keys(section("histograms"));
     // One representative per instrumented family: pool, table,
-    // engine-phase, per-shard, ledger.
+    // engine-phase, ledger.
     for want in [
         "pool.intern.misses",
         "table.push",
         "table.delete",
         "engine.ops",
-        "shard.batches",
-        "shard.0.batches",
         "ledger.created",
         "ledger.retracted",
     ] {
@@ -465,19 +624,13 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
         "table.live",
         "memo.evals",
         "ledger.live",
-        "shard.0.queue_depth",
     ] {
         assert!(
             gauges.iter().any(|k| k == want),
             "gauge `{want}` in {gauges:?}"
         );
     }
-    for want in [
-        "cli.replay_ns",
-        "cli.apply_ns",
-        "shard.merge_ns",
-        "shard.0.busy_ns",
-    ] {
+    for want in ["cli.replay_ns", "cli.apply_ns", "engine.batch_ns"] {
         assert!(
             histograms.iter().any(|k| k == want),
             "histogram `{want}` in {histograms:?}"
