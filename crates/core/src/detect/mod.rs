@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A suggested cell repair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Repair {
     /// The row to change.
     pub row: RowId,
@@ -38,7 +38,7 @@ pub struct Repair {
 }
 
 /// What kind of evidence produced a violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ViolationKind {
     /// A tuple matched a constant tableau pattern but disagreed with its
     /// constant RHS.
@@ -68,7 +68,7 @@ pub enum ViolationKind {
 }
 
 /// One detected violation: a suspected erroneous cell plus evidence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Violation {
     /// The embedded FD, e.g. `zip → city`.
     pub dependency: String,

@@ -10,10 +10,13 @@
 //! running created/retracted totals for monitoring.
 //!
 //! Identity is *structural*: two violations are the same ledger entry iff
-//! their serialized forms agree (dependency, row, evidence, witnesses,
-//! repair — everything). The incremental engine retracts exactly the
-//! objects it previously created, so structural identity is both precise
-//! and cheap.
+//! they are equal field for field (dependency, row, evidence, witnesses,
+//! repair — everything). The live set is a hash map keyed by the boxed
+//! violation itself, so a create or retract costs one structural hash
+//! and one probe; nothing is serialized. The incremental engine retracts
+//! exactly the objects it previously created, so structural identity is
+//! both precise and cheap. Only [`ViolationLedger::snapshot`] imposes an
+//! order, and it matches batch detection's output order.
 //!
 //! The ledger also participates in the **compaction remap protocol**:
 //! when the backing table compacts (renumbering `RowId`s),
@@ -27,7 +30,8 @@
 use crate::detect::Violation;
 use anmat_obs as obs;
 use anmat_table::RowIdRemap;
-use std::collections::BTreeMap;
+use fxhash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// What happened to a violation's liveness.
@@ -81,9 +85,9 @@ impl LedgerEvent {
 /// further mutation is back to in-place cost.
 #[derive(Debug, Default, Clone)]
 pub struct ViolationLedger {
-    /// Canonical serialization → (refcount, violation). A `BTreeMap`
-    /// keeps iteration deterministic.
-    live: Arc<BTreeMap<String, (usize, Violation)>>,
+    /// Violation → refcount. Keys are boxed so an entry stays 16 bytes
+    /// whatever the violation's size, and probed through `&Violation`.
+    live: Arc<FxHashMap<Box<Violation>, usize>>,
     created_total: usize,
     retracted_total: usize,
     /// Compaction epoch stamped onto emitted events; follows the backing
@@ -116,10 +120,6 @@ impl std::ops::Deref for LedgerSnapshot {
     }
 }
 
-fn canonical_key(v: &Violation) -> String {
-    serde_json::to_string(v).expect("violations serialize infallibly")
-}
-
 impl ViolationLedger {
     /// An empty ledger.
     #[must_use]
@@ -140,7 +140,7 @@ impl ViolationLedger {
 
     /// The live map, for mutation — copies it first if a snapshot still
     /// shares it.
-    fn live_mut(&mut self) -> &mut BTreeMap<String, (usize, Violation)> {
+    fn live_mut(&mut self) -> &mut FxHashMap<Box<Violation>, usize> {
         if Arc::strong_count(&self.live) > 1 {
             obs::counter!("snapshot.map_copies").incr();
         }
@@ -148,23 +148,24 @@ impl ViolationLedger {
     }
 
     /// Record a violation. Returns the `Created` event if it was not
-    /// already live (otherwise only the reference count grows).
-    pub fn create(&mut self, violation: Violation) -> Option<LedgerEvent> {
-        let key = canonical_key(&violation);
-        let entry = self
-            .live_mut()
-            .entry(key)
-            .or_insert_with(|| (0, violation.clone()));
-        entry.0 += 1;
-        if entry.0 == 1 {
-            self.created_total += 1;
-            obs::counter!("ledger.created").incr();
-            Some(LedgerEvent {
-                epoch: self.epoch,
-                change: LedgerChange::Created(violation),
-            })
-        } else {
-            None
+    /// already live (otherwise only the reference count grows). Takes
+    /// the violation boxed or unboxed; a box becomes the map key as is.
+    pub fn create(&mut self, violation: impl Into<Box<Violation>>) -> Option<LedgerEvent> {
+        match self.live_mut().entry(violation.into()) {
+            Entry::Occupied(mut entry) => {
+                *entry.get_mut() += 1;
+                None
+            }
+            Entry::Vacant(entry) => {
+                let created = (**entry.key()).clone();
+                entry.insert(1);
+                self.created_total += 1;
+                obs::counter!("ledger.created").incr();
+                Some(LedgerEvent {
+                    epoch: self.epoch,
+                    change: LedgerChange::Created(created),
+                })
+            }
         }
     }
 
@@ -172,24 +173,23 @@ impl ViolationLedger {
     /// reference is gone; `None` if other rules still imply it (or it was
     /// never live).
     pub fn retract(&mut self, violation: &Violation) -> Option<LedgerEvent> {
-        let key = canonical_key(violation);
-        // Peek before touching the map so a retract of a never-live
-        // violation doesn't force a COW copy under a snapshot.
-        if !self.live.contains_key(&key) {
+        // Under a snapshot, peek first so a retract of a never-live
+        // violation doesn't force a COW copy.
+        if Arc::strong_count(&self.live) > 1 && !self.live.contains_key(violation) {
             return None;
         }
         let live = self.live_mut();
-        let entry = live.get_mut(&key)?;
-        entry.0 -= 1;
-        if entry.0 > 0 {
+        let (retracted, refcount) = live.remove_entry(violation)?;
+        if refcount > 1 {
+            // Another implier still holds it.
+            live.insert(retracted, refcount - 1);
             return None;
         }
-        let (_, v) = live.remove(&key).expect("entry exists");
         self.retracted_total += 1;
         obs::counter!("ledger.retracted").incr();
         Some(LedgerEvent {
             epoch: self.epoch,
-            change: LedgerChange::Retracted(v),
+            change: LedgerChange::Retracted(*retracted),
         })
     }
 
@@ -214,32 +214,36 @@ impl ViolationLedger {
         self.epoch = remap.epoch();
         let old = std::mem::take(self.live_mut());
         let live = Arc::make_mut(&mut self.live);
-        for (_, (refcount, mut v)) in old {
+        live.reserve(old.len());
+        for (mut v, refcount) in old {
             v.remap(remap);
-            let key = canonical_key(&v);
-            let prev = live.insert(key, (refcount, v));
+            let prev = live.insert(v, refcount);
             debug_assert!(prev.is_none(), "remap is injective on live violations");
         }
     }
 
-    /// The live violations, in deterministic (serialized-key) order.
+    /// The live violations, in unspecified order (see
+    /// [`ViolationLedger::snapshot`] for a sorted copy).
     pub fn live(&self) -> impl Iterator<Item = &Violation> {
-        self.live.values().map(|(_, v)| v)
+        self.live.keys().map(|v| &**v)
     }
 
     /// The live violations sorted like [`crate::detect_all`] output:
-    /// `(row, dependency)` first, then canonical form for total order.
+    /// `(row, dependency)` first, then the canonical JSON form for a
+    /// total order. The JSON is computed only for entries that tie on
+    /// `(row, dependency)`.
     #[must_use]
     pub fn snapshot(&self) -> Vec<Violation> {
-        let mut out: Vec<(&String, &Violation)> =
-            self.live.iter().map(|(k, (_, v))| (k, v)).collect();
-        out.sort_by(|(ka, a), (kb, b)| {
-            a.row
-                .cmp(&b.row)
-                .then_with(|| a.dependency.cmp(&b.dependency))
-                .then_with(|| ka.cmp(kb))
-        });
-        out.into_iter().map(|(_, v)| v.clone()).collect()
+        let mut out: Vec<&Violation> = self.live().collect();
+        out.sort_unstable_by(|a, b| (a.row, &a.dependency).cmp(&(b.row, &b.dependency)));
+        for tied in out.chunk_by_mut(|a, b| a.row == b.row && a.dependency == b.dependency) {
+            if tied.len() > 1 {
+                tied.sort_by_cached_key(|v| {
+                    serde_json::to_string(v).expect("violations serialize infallibly")
+                });
+            }
+        }
+        out.into_iter().cloned().collect()
     }
 
     /// Number of currently live violations.
@@ -271,6 +275,7 @@ impl ViolationLedger {
 mod tests {
     use super::*;
     use crate::detect::{Violation, ViolationKind};
+    use proptest::prelude::*;
 
     fn violation(row: usize, expected: &str) -> Violation {
         Violation {
@@ -307,16 +312,21 @@ mod tests {
     #[test]
     fn refcount_suppresses_duplicate_events() {
         let mut ledger = ViolationLedger::new();
-        let v = violation(3, "Los Angeles");
+        let v = variable_violation(4, vec![1, 3]);
         assert!(ledger.create(v.clone()).is_some());
-        // A second rule implying the identical violation: no new event.
-        assert!(ledger.create(v.clone()).is_none());
+        // A second rule implying the identical violation (boxed, as the
+        // stream engine hands it over): no new event.
+        assert!(ledger.create(Box::new(v.clone())).is_none());
         assert_eq!(ledger.live_count(), 1);
-        // First retraction leaves it live; the second removes it.
+        // Two creates need two retracts: the first leaves it live, the
+        // second removes it and carries the violation.
         assert!(ledger.retract(&v).is_none());
         assert_eq!(ledger.live_count(), 1);
-        assert!(ledger.retract(&v).is_some());
+        let event = ledger.retract(&v).expect("last reference");
+        assert_eq!(event.change, LedgerChange::Retracted(v));
         assert!(ledger.is_empty());
+        assert_eq!(ledger.created_total(), 1);
+        assert_eq!(ledger.retracted_total(), 1);
     }
 
     #[test]
@@ -456,6 +466,21 @@ mod tests {
     }
 
     #[test]
+    fn retracting_a_never_live_violation_under_a_freeze_copies_nothing() {
+        let mut ledger = ViolationLedger::new();
+        ledger.create(violation(1, "A"));
+        let snap = ledger.freeze();
+        assert!(ledger.retract(&violation(2, "A")).is_none());
+        assert!(ledger.retract(&violation(1, "B")).is_none());
+        // Still one shared map: the `snapshot.map_copies` path never ran.
+        assert!(Arc::ptr_eq(&ledger.live, &snap.live));
+        // A real retraction does copy, and only the live side moves.
+        assert!(ledger.retract(&violation(1, "A")).is_some());
+        assert!(!Arc::ptr_eq(&ledger.live, &snap.live));
+        assert_eq!(snap.live_count(), 1);
+    }
+
+    #[test]
     fn freeze_is_isolated_from_later_mutation() {
         let mut ledger = ViolationLedger::new();
         ledger.create(violation(1, "A"));
@@ -476,5 +501,61 @@ mod tests {
         assert_eq!(ledger.epoch(), 1);
         assert_eq!(ledger.snapshot()[0].row, 1, "old row 3 compacts to 1");
         assert_eq!(ledger.retracted_total(), 1);
+    }
+
+    /// Violations over a small space, so that `(row, dependency)` ties
+    /// (same row and rule, different evidence) are common.
+    fn tied_violation() -> impl Strategy<Value = Violation> {
+        (
+            0usize..3,
+            any::<bool>(),
+            0u8..3,
+            any::<bool>(),
+            prop::collection::vec(0usize..4, 0..3),
+            any::<bool>(),
+        )
+            .prop_map(|(row, state, value, variable, witnesses, repaired)| {
+                let mut v = if variable {
+                    variable_violation(row, witnesses)
+                } else {
+                    violation(row, &format!("city-{value}"))
+                };
+                if state {
+                    v.dependency = "zip → state".into();
+                    v.rhs_attr = "state".into();
+                }
+                v.lhs_value = format!("9000{value}");
+                if !repaired {
+                    v.repair = None;
+                }
+                v
+            })
+    }
+
+    proptest! {
+        /// `snapshot()` keeps the order of the JSON-keyed ledger it
+        /// replaced: sorted by `(row, dependency, canonical JSON)`, with
+        /// each distinct violation once however often it was created.
+        #[test]
+        fn snapshot_keeps_the_serialized_order(
+            violations in prop::collection::vec(tied_violation(), 0..24)
+        ) {
+            let mut ledger = ViolationLedger::new();
+            for v in &violations {
+                ledger.create(v.clone());
+            }
+            let json = |v: &Violation| serde_json::to_string(v).unwrap();
+            let mut expected: Vec<(String, Violation)> =
+                violations.into_iter().map(|v| (json(&v), v)).collect();
+            expected.sort_by(|(ka, a), (kb, b)| {
+                a.row
+                    .cmp(&b.row)
+                    .then_with(|| a.dependency.cmp(&b.dependency))
+                    .then_with(|| ka.cmp(kb))
+            });
+            expected.dedup_by(|a, b| a.0 == b.0);
+            let expected: Vec<Violation> = expected.into_iter().map(|(_, v)| v).collect();
+            prop_assert_eq!(ledger.snapshot(), expected);
+        }
     }
 }

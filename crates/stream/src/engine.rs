@@ -116,17 +116,27 @@ pub struct CompactionStats {
 /// state. Rule processing emits deltas into a [`DeltaSink`]; the engine
 /// then applies them to the refcounting [`ViolationLedger`] (which
 /// dedupes across rules), so rule state never touches the ledger.
+/// Boxed, so a pending batch costs one pointer per delta and a create's
+/// box becomes the ledger's key as is.
 #[derive(Debug, Clone)]
 enum Delta {
     /// The rule now asserts this violation.
-    Create(Violation),
+    Create(Box<Violation>),
     /// The rule withdraws this (previously asserted) violation.
-    Retract(Violation),
+    Retract(Box<Violation>),
 }
 
-/// Ordered deltas for one rule × one op phase, with the assertion
-/// counts the drift monitor needs (counted per rule, independent of the
-/// ledger's cross-rule refcounting).
+/// Pending deltas that make a batch run its ledger pass early. Batches
+/// of CLI size (a few thousand rows, a few hundred deltas) never reach
+/// it and keep one pass per batch. Without it, a 200k-op batch would
+/// hold every violation it retracts until its end: 17 MB more peak RSS
+/// on the benchmark's `churn` workload.
+const MAX_PENDING_DELTAS: usize = 1024;
+
+/// One entry point's deltas in production order (rule order within each
+/// op), plus the current rule's assertion counts for the drift monitor
+/// (counted per rule, independent of the ledger's cross-rule
+/// refcounting).
 #[derive(Debug, Default)]
 struct DeltaSink {
     deltas: Vec<Delta>,
@@ -137,24 +147,21 @@ struct DeltaSink {
 impl DeltaSink {
     fn create(&mut self, v: Violation) {
         self.created += 1;
-        self.deltas.push(Delta::Create(v));
+        self.deltas.push(Delta::Create(Box::new(v)));
     }
 
     fn retract(&mut self, v: Violation) {
         self.retracted += 1;
-        self.deltas.push(Delta::Retract(v));
+        self.deltas.push(Delta::Retract(Box::new(v)));
     }
-}
 
-/// Replay a delta sequence into the ledger, collecting the events the
-/// ledger actually emits (refcount-only changes emit nothing).
-fn apply_deltas(ledger: &mut ViolationLedger, deltas: Vec<Delta>, events: &mut Vec<LedgerEvent>) {
-    for delta in deltas {
-        let event = match delta {
-            Delta::Create(v) => ledger.create(v),
-            Delta::Retract(v) => ledger.retract(&v),
-        };
-        events.extend(event);
+    /// The `(created, retracted)` counts since the last call, reset for
+    /// the next rule.
+    fn take_counts(&mut self) -> (usize, usize) {
+        (
+            std::mem::take(&mut self.created),
+            std::mem::take(&mut self.retracted),
+        )
     }
 }
 
@@ -162,38 +169,43 @@ fn apply_deltas(ledger: &mut ViolationLedger, deltas: Vec<Delta>, events: &mut V
 /// (arity of every insert/update, liveness of every addressed row *at
 /// its point in the sequence*) before any op executes — the atomicity
 /// guarantee [`StreamEngine::apply`] gives: a malformed op-log leaves
-/// the engine untouched.
+/// the engine untouched. A failure is a [`TableError::InvalidOp`]
+/// naming the offending op's index in `ops`.
 fn validate_ops(table: &Table, ops: &[RowOp]) -> Result<(), TableError> {
     let arity = table.schema().arity();
     let mut live: Vec<bool> = (0..table.row_count()).map(|r| table.is_live(r)).collect();
-    for op in ops {
+    for (index, op) in ops.iter().enumerate() {
+        let invalid = |error| TableError::InvalidOp {
+            op: index,
+            error: Box::new(error),
+        };
         match op {
             RowOp::Insert(cells) => {
                 if cells.len() != arity {
-                    return Err(TableError::ArityMismatch {
+                    return Err(invalid(TableError::ArityMismatch {
                         row: live.len(),
                         found: cells.len(),
                         expected: arity,
-                    });
+                    }));
                 }
                 live.push(true);
             }
             RowOp::Delete(row) => {
                 if !live.get(*row).copied().unwrap_or(false) {
-                    return Err(TableError::NoSuchRow { row: *row });
+                    return Err(invalid(TableError::NoSuchRow { row: *row }));
                 }
                 live[*row] = false;
             }
             RowOp::Update(row, cells) => {
                 if cells.len() != arity {
-                    return Err(TableError::ArityMismatch {
+                    return Err(invalid(TableError::ArityMismatch {
                         row: *row,
                         found: cells.len(),
                         expected: arity,
-                    });
+                    }));
                 }
                 if !live.get(*row).copied().unwrap_or(false) {
-                    return Err(TableError::NoSuchRow { row: *row });
+                    return Err(invalid(TableError::NoSuchRow { row: *row }));
                 }
             }
         }
@@ -1039,14 +1051,25 @@ impl StreamEngine {
     /// ids.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<Vec<LedgerEvent>, TableError> {
         let row_id = self.table.push_row(row)?;
-        Ok(self.process_row(row_id))
+        let mut sink = DeltaSink::default();
+        self.process_row(row_id, &mut sink);
+        Ok(self.settle(sink))
     }
 
     /// Ingest one row of already-interned ids — the clone-free ingest
     /// path (no string is copied, hashed, or even read).
     pub fn push_id_row(&mut self, row: Vec<ValueId>) -> Result<Vec<LedgerEvent>, TableError> {
+        let mut sink = DeltaSink::default();
+        self.insert_id_row(row, &mut sink)?;
+        Ok(self.settle(sink))
+    }
+
+    /// Append one interned row to the table and run every rule over it,
+    /// leaving the deltas in `sink` for the caller's ledger pass.
+    fn insert_id_row(&mut self, row: Vec<ValueId>, sink: &mut DeltaSink) -> Result<(), TableError> {
         let row_id = self.table.push_id_row(row)?;
-        Ok(self.process_row(row_id))
+        self.process_row(row_id, sink);
+        Ok(())
     }
 
     /// Ingest one row of raw strings (fields go through
@@ -1091,20 +1114,11 @@ impl StreamEngine {
             self.validate_batch_arity(&rows)?;
         }
         let _apply = obs::span!("engine.apply_ns");
-        obs::counter!("engine.ops").add(rows.len() as u64);
-        // Intern once up front, then batch-classify each rule's caches
-        // over the batch's new distinct ids before any per-row work.
-        let rows: Vec<Vec<ValueId>> = rows
+        let rows = rows
             .iter()
             .map(|r| ValuePool::intern_value_batch(r))
             .collect();
-        self.prime_rules(&rows);
-        let mut events = Vec::new();
-        for row in rows {
-            events.extend(self.push_id_row(row).expect("arity pre-validated"));
-        }
-        obs::counter!("engine.events").add(events.len() as u64);
-        Ok(events)
+        Ok(self.ingest_id_rows(rows))
     }
 
     /// Ingest a batch of already-interned rows; returns the concatenated
@@ -1121,14 +1135,25 @@ impl StreamEngine {
             self.validate_batch_arity(&rows)?;
         }
         let _apply = obs::span!("engine.apply_ns");
+        Ok(self.ingest_id_rows(rows))
+    }
+
+    /// The body of both push-batch entry points, after validation:
+    /// batch-classify each rule's caches over the batch's new distinct
+    /// ids, run every row through the rules, then make one ledger pass.
+    fn ingest_id_rows(&mut self, rows: Vec<Vec<ValueId>>) -> Vec<LedgerEvent> {
         obs::counter!("engine.ops").add(rows.len() as u64);
         self.prime_rules(&rows);
+        let mut sink = DeltaSink::default();
         let mut events = Vec::new();
         for row in rows {
-            events.extend(self.push_id_row(row).expect("arity pre-validated"));
+            self.insert_id_row(row, &mut sink)
+                .expect("arity pre-validated");
+            self.bound_pending(&mut sink, &mut events);
         }
+        self.ledger_pass(&mut sink, &mut events);
         obs::counter!("engine.events").add(events.len() as u64);
-        Ok(events)
+        events
     }
 
     /// Batch-classify: prime every rule's per-distinct-value caches over
@@ -1147,23 +1172,26 @@ impl StreamEngine {
     /// note the engine assigns fresh, dense slot ids). Clone-free: rows
     /// are carried over as interned ids.
     pub fn replay_table(&mut self, table: &Table) -> Result<Vec<LedgerEvent>, TableError> {
+        let mut sink = DeltaSink::default();
         let mut events = Vec::new();
         for r in table.iter_live() {
-            events.extend(self.push_id_row(table.row_ids(r))?);
+            // Every row has the table's arity, so only the first can
+            // fail, before any delta is pending.
+            self.insert_id_row(table.row_ids(r), &mut sink)?;
+            self.bound_pending(&mut sink, &mut events);
         }
+        self.ledger_pass(&mut sink, &mut events);
         Ok(events)
     }
 
-    fn process_row(&mut self, row: RowId) -> Vec<LedgerEvent> {
-        let mut events = Vec::new();
+    /// Run every rule over the freshly written `row`, leaving the deltas
+    /// in `sink`.
+    fn process_row(&mut self, row: RowId, sink: &mut DeltaSink) {
         for (rule_idx, rule) in self.rules.iter_mut().enumerate() {
-            let mut sink = DeltaSink::default();
-            let matched = rule.process_insert(&self.table, row, &mut sink);
-            self.drift
-                .observe(rule_idx, matched, sink.created, sink.retracted);
-            apply_deltas(&mut self.ledger, sink.deltas, &mut events);
+            let matched = rule.process_insert(&self.table, row, sink);
+            let (created, retracted) = sink.take_counts();
+            self.drift.observe(rule_idx, matched, created, retracted);
         }
-        events
     }
 
     /// Withdraw one row from every rule's incremental state — the exact
@@ -1171,15 +1199,45 @@ impl StreamEngine {
     /// tombstoned (or overwritten), while the row's cells are still the
     /// ones its violations were built from, so every retraction is
     /// structurally identical to the event it cancels.
-    fn process_removal(&mut self, row: RowId) -> Vec<LedgerEvent> {
-        let mut events = Vec::new();
+    fn process_removal(&mut self, row: RowId, sink: &mut DeltaSink) {
         for (rule_idx, rule) in self.rules.iter_mut().enumerate() {
-            let mut sink = DeltaSink::default();
-            let matched = rule.process_removal(&self.table, row, &mut sink);
-            self.drift
-                .retire(rule_idx, matched, sink.created, sink.retracted);
-            apply_deltas(&mut self.ledger, sink.deltas, &mut events);
+            let matched = rule.process_removal(&self.table, row, sink);
+            let (created, retracted) = sink.take_counts();
+            self.drift.retire(rule_idx, matched, created, retracted);
         }
+    }
+
+    /// The ledger pass: replay `sink`'s deltas into the ledger in the
+    /// order they were produced, appending the events it emits to
+    /// `events` (refcount-only changes emit nothing). Rule state never
+    /// reads the ledger, so deferring the pass to the end of an entry
+    /// point leaves every event unchanged. Timed as one
+    /// `engine.ledger_ns` span per pass.
+    fn ledger_pass(&mut self, sink: &mut DeltaSink, events: &mut Vec<LedgerEvent>) {
+        let _ledger = obs::span!("engine.ledger_ns");
+        events.reserve(sink.deltas.len());
+        for delta in sink.deltas.drain(..) {
+            events.extend(match delta {
+                Delta::Create(v) => self.ledger.create(v),
+                Delta::Retract(v) => self.ledger.retract(&v),
+            });
+        }
+    }
+
+    /// Run the ledger pass early, between two ops, once a batch has
+    /// [`MAX_PENDING_DELTAS`] pending. A retracted violation stays
+    /// allocated until its pass, so without the bound one huge batch
+    /// would hold every violation it retracts at once.
+    fn bound_pending(&mut self, sink: &mut DeltaSink, events: &mut Vec<LedgerEvent>) {
+        if sink.deltas.len() >= MAX_PENDING_DELTAS {
+            self.ledger_pass(sink, events);
+        }
+    }
+
+    /// The ledger pass of a single-op entry point.
+    fn settle(&mut self, mut sink: DeltaSink) -> Vec<LedgerEvent> {
+        let mut events = Vec::new();
+        self.ledger_pass(&mut sink, &mut events);
         events
     }
 
@@ -1191,21 +1249,23 @@ impl StreamEngine {
     /// enabled) crosses its threshold at the end of this call and
     /// renumbers; watch [`StreamEngine::epoch`].
     pub fn delete_row(&mut self, row: RowId) -> Result<Vec<LedgerEvent>, TableError> {
-        let events = self.delete_row_inner(row)?;
+        let mut sink = DeltaSink::default();
+        self.delete_row_inner(row, &mut sink)?;
+        let events = self.settle(sink);
         self.maybe_compact();
         Ok(events)
     }
 
-    /// The delete without the auto-compaction check — what batch
-    /// replay uses, so compaction can never strike in the middle of a
-    /// pre-validated op sequence.
-    fn delete_row_inner(&mut self, row: RowId) -> Result<Vec<LedgerEvent>, TableError> {
+    /// The delete without the ledger pass or the auto-compaction check —
+    /// what batch replay uses, so compaction can never strike in the
+    /// middle of a pre-validated op sequence.
+    fn delete_row_inner(&mut self, row: RowId, sink: &mut DeltaSink) -> Result<(), TableError> {
         if !self.table.is_live(row) {
             return Err(TableError::NoSuchRow { row });
         }
-        let events = self.process_removal(row);
+        self.process_removal(row, sink);
         self.table.delete_row(row).expect("liveness checked");
-        Ok(events)
+        Ok(())
     }
 
     /// Update one live row in place — delete + insert *fused on one
@@ -1226,6 +1286,18 @@ impl StreamEngine {
         row: RowId,
         cells: Vec<ValueId>,
     ) -> Result<Vec<LedgerEvent>, TableError> {
+        let mut sink = DeltaSink::default();
+        self.update_id_row_inner(row, cells, &mut sink)?;
+        Ok(self.settle(sink))
+    }
+
+    /// The update without the ledger pass.
+    fn update_id_row_inner(
+        &mut self,
+        row: RowId,
+        cells: Vec<ValueId>,
+        sink: &mut DeltaSink,
+    ) -> Result<(), TableError> {
         if cells.len() != self.table.schema().arity() {
             return Err(TableError::ArityMismatch {
                 row,
@@ -1236,12 +1308,12 @@ impl StreamEngine {
         if !self.table.is_live(row) {
             return Err(TableError::NoSuchRow { row });
         }
-        let mut events = self.process_removal(row);
+        self.process_removal(row, sink);
         self.table
             .update_id_row(row, cells)
             .expect("arity and liveness checked");
-        events.extend(self.process_row(row));
-        Ok(events)
+        self.process_row(row, sink);
+        Ok(())
     }
 
     /// Apply a batch of [`RowOp`]s; returns the concatenated events.
@@ -1251,6 +1323,8 @@ impl StreamEngine {
     /// engine's live set (arity of every insert/update, liveness of
     /// every addressed row *at its point in the sequence*) before any
     /// op executes, so a malformed op-log leaves the engine untouched.
+    /// The error is a [`TableError::InvalidOp`] carrying the index of
+    /// the offending op.
     pub fn apply(
         &mut self,
         ops: impl IntoIterator<Item = RowOp>,
@@ -1263,9 +1337,8 @@ impl StreamEngine {
         }
         let _apply = obs::span!("engine.apply_ns");
         obs::counter!("engine.ops").add(ops.len() as u64);
-        // Batch-classify over the insert/update rows before any op
-        // executes (the per-op path below re-interns each cell, which is
-        // a pool hash hit once this pass has interned it).
+        // Intern every insert/update row once, batch-classify over them,
+        // then hand each op its ids: no cell is interned twice.
         let arriving: Vec<Vec<ValueId>> = ops
             .iter()
             .filter_map(|op| match op {
@@ -1276,17 +1349,27 @@ impl StreamEngine {
             })
             .collect();
         self.prime_rules(&arriving);
+        let mut arriving = arriving.into_iter();
+        let mut sink = DeltaSink::default();
         let mut events = Vec::new();
         for op in ops {
             // Inner variants: the whole batch addresses one id space, so
             // the auto-compaction check waits until after the loop.
-            let batch = match op {
-                RowOp::Insert(cells) => self.push_row(cells),
-                RowOp::Delete(row) => self.delete_row_inner(row),
-                RowOp::Update(row, cells) => self.update_row(row, cells),
+            let done = match op {
+                RowOp::Insert(_) => {
+                    self.insert_id_row(arriving.next().expect("one id row per insert"), &mut sink)
+                }
+                RowOp::Delete(row) => self.delete_row_inner(row, &mut sink),
+                RowOp::Update(row, _) => self.update_id_row_inner(
+                    row,
+                    arriving.next().expect("one id row per update"),
+                    &mut sink,
+                ),
             };
-            events.extend(batch.expect("ops pre-validated"));
+            done.expect("ops pre-validated");
+            self.bound_pending(&mut sink, &mut events);
         }
+        self.ledger_pass(&mut sink, &mut events);
         self.maybe_compact();
         obs::counter!("engine.events").add(events.len() as u64);
         Ok(events)
@@ -1718,10 +1801,13 @@ mod tests {
         engine.push_str_row(["90001", "Los Angeles"]).unwrap();
         // The second op deletes a row the first op already deleted.
         let bad = vec![RowOp::Delete(0), RowOp::Delete(0)];
-        assert!(matches!(
-            engine.apply(bad),
-            Err(TableError::NoSuchRow { row: 0 })
-        ));
+        // The error names the offending op by its index in the batch.
+        match engine.apply(bad) {
+            Err(TableError::InvalidOp { op: 1, error }) => {
+                assert!(matches!(*error, TableError::NoSuchRow { row: 0 }));
+            }
+            other => panic!("expected op 1 to be rejected, got {other:?}"),
+        }
         assert_eq!(engine.live_rows(), 1, "nothing applied");
         // An insert makes a later delete of the fresh slot valid.
         let good = vec![
@@ -1735,10 +1821,12 @@ mod tests {
             RowOp::Delete(0),
             RowOp::Update(0, vec![Value::text("just-one")]),
         ];
-        assert!(matches!(
-            engine.apply(bad_arity),
-            Err(TableError::ArityMismatch { .. })
-        ));
+        match engine.apply(bad_arity) {
+            Err(TableError::InvalidOp { op: 1, error }) => {
+                assert!(matches!(*error, TableError::ArityMismatch { found: 1, .. }));
+            }
+            other => panic!("expected op 1 to be rejected, got {other:?}"),
+        }
         assert_eq!(engine.live_rows(), 1);
     }
 

@@ -77,13 +77,19 @@ pub fn read_str_with(input: &str, opts: CsvOptions) -> Result<Table, TableError>
             None => Schema::new(Vec::<String>::new())?,
         }
     };
+    let arity = schema.arity();
     let mut table = Table::empty(schema);
     if let Some(ids) = first_data {
         table.push_id_row(ids)?;
     }
     while let Some(rec) = records.next_record()? {
-        let ids = intern_record(&rec, policy);
-        table.push_id_row(ids)?;
+        if rec.len() != arity {
+            return Err(TableError::Csv {
+                line: rec.line(),
+                reason: format!("record has {} fields, expected {arity}", rec.len()),
+            });
+        }
+        table.push_id_row(intern_record(&rec, policy))?;
     }
     Ok(table)
 }
@@ -188,8 +194,10 @@ pub fn parse_raw_records_borrowed(input: &str, delimiter: char) -> RawRecords<'_
 ///
 /// Which path served each record is observable via
 /// [`RecordView::is_borrowed`] and the `ingest.borrowed_records` /
-/// `ingest.owned_records` counters. Blank lines are skipped and error
-/// positions (1-based line numbers) match the batch parser exactly.
+/// `ingest.owned_records` counters. Blank lines are skipped; each record
+/// knows the 1-based line it starts on ([`RecordView::line`]), and error
+/// positions match the batch parser exactly. An unterminated quoted
+/// field is reported at the line where its quote opened.
 #[derive(Debug)]
 pub struct RawRecords<'a> {
     input: &'a str,
@@ -200,6 +208,8 @@ pub struct RawRecords<'a> {
     ascii_delim: Option<u8>,
     pos: usize,
     line: usize,
+    /// The line the current record starts on.
+    record_line: usize,
     /// Scratch: byte spans of the current borrowed record's fields.
     spans: Vec<(usize, usize)>,
     /// Scratch: owned fields of the current fallback record (capacity
@@ -220,9 +230,17 @@ pub struct RecordView<'r> {
     spans: &'r [(usize, usize)],
     owned: &'r [String],
     borrowed: bool,
+    line: usize,
 }
 
 impl<'r> RecordView<'r> {
+    /// The 1-based line the record starts on (a quoted field may carry
+    /// it over several lines).
+    #[must_use]
+    pub fn line(&self) -> usize {
+        self.line
+    }
+
     /// Number of fields in the record.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -276,6 +294,7 @@ impl<'a> RawRecords<'a> {
             ascii_delim: u8::try_from(delimiter).ok(),
             pos: 0,
             line: 1,
+            record_line: 1,
             spans: Vec::new(),
             owned: Vec::new(),
             owned_len: 0,
@@ -318,6 +337,7 @@ impl<'a> RawRecords<'a> {
             spans: &self.spans,
             owned: &self.owned[..self.owned_len],
             borrowed: self.borrowed,
+            line: self.record_line,
         }
     }
 
@@ -327,6 +347,7 @@ impl<'a> RawRecords<'a> {
     fn scan_unquoted_line(&mut self, delim: u8) -> Scan {
         let bytes = self.input.as_bytes();
         let start = self.pos;
+        self.record_line = self.line;
         let mut end = bytes.len();
         for (i, &b) in bytes[start..].iter().enumerate() {
             match b {
@@ -384,6 +405,7 @@ impl<'a> RawRecords<'a> {
         self.cur.clear();
         let mut state = State::FieldStart;
         let mut record_started = false;
+        let mut quote_line = self.line;
         let base = self.pos;
         let mut chars = text[base..].char_indices().peekable();
         // Advance `self.pos` past the character(s) consumed so far: the
@@ -397,11 +419,15 @@ impl<'a> RawRecords<'a> {
             if c == '\n' {
                 self.line += 1;
             }
+            if !record_started {
+                self.record_line = self.line;
+            }
             match state {
                 State::FieldStart => match c {
                     '"' => {
                         state = State::Quoted;
                         record_started = true;
+                        quote_line = self.line;
                     }
                     '\r' | '\n' => {
                         if c == '\r' {
@@ -488,7 +514,7 @@ impl<'a> RawRecords<'a> {
         self.pos = text.len();
         match state {
             State::Quoted => Err(TableError::Csv {
-                line: self.line,
+                line: quote_line,
                 reason: "unterminated quoted field".into(),
             }),
             State::Unquoted | State::QuoteInQuoted => {
@@ -655,19 +681,40 @@ mod tests {
     }
 
     #[test]
-    fn arity_mismatch_detected() {
+    fn arity_mismatch_names_the_file_line() {
         assert!(matches!(
             read_str("a,b\n1,2,3\n"),
-            Err(TableError::ArityMismatch { .. })
+            Err(TableError::Csv { line: 2, .. })
+        ));
+        // Blank lines and quoted newlines count: the bad record starts
+        // on line 5.
+        let err = read_str("a,b\n\"x\ny\",1\n\n1\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "CSV error at line 5: record has 1 fields, expected 2"
+        );
+    }
+
+    #[test]
+    fn unterminated_quote_names_the_line_it_opened_on() {
+        assert!(matches!(
+            read_str("a\n\"oops\n"),
+            Err(TableError::Csv { line: 2, .. })
+        ));
+        assert!(matches!(
+            read_str("a\nb\n\"c\n"),
+            Err(TableError::Csv { line: 3, .. })
         ));
     }
 
     #[test]
-    fn unterminated_quote_rejected() {
-        assert!(matches!(
-            read_str("a\n\"oops\n"),
-            Err(TableError::Csv { .. })
-        ));
+    fn records_know_their_start_line() {
+        let mut r = parse_raw_records_borrowed("a\n\n\"b\nc\"\r\nd\n", ',');
+        let mut lines = Vec::new();
+        while let Some(rec) = r.next_record().unwrap() {
+            lines.push(rec.line());
+        }
+        assert_eq!(lines, vec![1, 3, 5]);
     }
 
     #[test]
@@ -794,6 +841,7 @@ mod tests {
             let mut field = String::new();
             let mut state = State::FieldStart;
             let mut line = 1usize;
+            let mut quote_line = line;
             let mut chars = input.chars().peekable();
             let mut record_started = false;
 
@@ -806,6 +854,7 @@ mod tests {
                         '"' => {
                             state = State::Quoted;
                             record_started = true;
+                            quote_line = line;
                         }
                         '\r' => {
                             if chars.peek() == Some(&'\n') {
@@ -895,7 +944,7 @@ mod tests {
             match state {
                 State::Quoted => {
                     return Err(TableError::Csv {
-                        line,
+                        line: quote_line,
                         reason: "unterminated quoted field".into(),
                     })
                 }

@@ -29,6 +29,13 @@ pub enum TableError {
         /// The duplicated name.
         name: String,
     },
+    /// An op of a batch failed validation, so none of the batch ran.
+    InvalidOp {
+        /// 0-based index of the offending op in the batch.
+        op: usize,
+        /// What was wrong with it.
+        error: Box<TableError>,
+    },
     /// CSV syntax error.
     Csv {
         /// 1-based line at which the problem was detected.
@@ -53,6 +60,7 @@ impl fmt::Display for TableError {
             }
             TableError::UnknownColumn { name } => write!(f, "unknown column `{name}`"),
             TableError::DuplicateColumn { name } => write!(f, "duplicate column `{name}`"),
+            TableError::InvalidOp { op, error } => write!(f, "op {op}: {error}"),
             TableError::Csv { line, reason } => write!(f, "CSV error at line {line}: {reason}"),
             TableError::Io(e) => write!(f, "I/O error: {e}"),
         }
@@ -63,6 +71,7 @@ impl std::error::Error for TableError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TableError::Io(e) => Some(e),
+            TableError::InvalidOp { error, .. } => Some(error.as_ref()),
             _ => None,
         }
     }

@@ -8,7 +8,8 @@
 //!   relational store (PFDs operate on cell *strings*, so cells are text
 //!   with an explicit null marker; typed interpretation happens at
 //!   profiling time); tables are mutable streams — [`RowOp`]
-//!   insert/delete/update with tombstoned slots and stable `RowId`s;
+//!   insert/delete/update with tombstoned slots and stable `RowId`s,
+//!   read from op-log text by [`parse_ops`];
 //! * [`csv`] — an RFC-4180 CSV reader/writer (quoting, embedded
 //!   separators/newlines, escaped quotes);
 //! * [`profile`] — the data profiler behind Figure 3: inferred column
@@ -36,7 +37,9 @@ pub use error::TableError;
 pub use pool::{PoolFootprint, ReclaimStats, ValueId, ValuePool};
 pub use profile::{ColumnProfile, InferredType, PatternHistogram, TableProfile};
 pub use schema::Schema;
-pub use table::{MemFootprint, RowId, RowIdRemap, RowOp, Table, TableBuilder, TableSnapshot};
+pub use table::{
+    parse_ops, MemFootprint, OpLog, RowId, RowIdRemap, RowOp, Table, TableBuilder, TableSnapshot,
+};
 pub use tokenize::{
     for_each_ngram, for_each_prefix, for_each_token, ngrams, prefixes, tokenize, NGram, Token,
 };

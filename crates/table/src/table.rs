@@ -181,6 +181,67 @@ pub enum RowOp {
     Update(RowId, Vec<Value>),
 }
 
+/// An op-log parsed by [`parse_ops`]: the ops in order, with the 1-based
+/// line each one starts on (`lines[i]` belongs to `ops[i]`), so an error
+/// about op `i` can name its line.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OpLog {
+    /// The ops, in log order.
+    pub ops: Vec<RowOp>,
+    /// The line each op starts on.
+    pub lines: Vec<usize>,
+}
+
+/// Parse an op-log — one [`RowOp`] per CSV record (RFC-4180 quoting,
+/// blank lines skipped):
+///
+/// ```text
+/// +,cell,…        insert a row
+/// -,rowid         delete the row in that slot
+/// ~,rowid,cell,…  update the row in place (slot id preserved)
+/// ```
+///
+/// Cells go through [`Value::from_field`]. Records are read with the
+/// borrowing CSV reader, so no `String` is built per field beyond the
+/// cells' own. Every error, syntax or op grammar, is a
+/// [`TableError::Csv`] naming the line.
+///
+/// ```
+/// use anmat_table::{parse_ops, RowOp};
+/// let log = parse_ops("-,0\n\n~,1,x\n").unwrap();
+/// assert_eq!(log.lines, vec![1, 3]);
+/// assert!(matches!(log.ops[1], RowOp::Update(1, _)));
+/// assert_eq!(
+///     parse_ops("-,0\n\n-,x\n").unwrap_err().to_string(),
+///     "CSV error at line 3: bad row id `x`"
+/// );
+/// ```
+pub fn parse_ops(text: &str) -> Result<OpLog, TableError> {
+    let mut records = crate::csv::parse_raw_records_borrowed(text, ',');
+    let mut log = OpLog::default();
+    while let Some(rec) = records.next_record()? {
+        let line = rec.line();
+        let bad = |reason: String| TableError::Csv { line, reason };
+        let cells = |from: usize| rec.iter().skip(from).map(Value::from_field).collect();
+        let row_id = |field: &str| {
+            field
+                .parse::<RowId>()
+                .map_err(|_| bad(format!("bad row id `{field}`")))
+        };
+        let op = match (rec.field(0), rec.len()) {
+            ("+", _) => RowOp::Insert(cells(1)),
+            ("-", 2) => RowOp::Delete(row_id(rec.field(1))?),
+            ("-", _) => return Err(bad("`-` wants exactly one row id".into())),
+            ("~", 2..) => RowOp::Update(row_id(rec.field(1))?, cells(2)),
+            ("~", _) => return Err(bad("`~` wants a row id and cells".into())),
+            (other, _) => return Err(bad(format!("unknown op `{other}` (want `+`, `-` or `~`)"))),
+        };
+        log.ops.push(op);
+        log.lines.push(line);
+    }
+    Ok(log)
+}
+
 /// A columnar table: one `Vec<ValueId>` per column, all equal length.
 ///
 /// Columnar layout matches the access pattern of both discovery (scan a

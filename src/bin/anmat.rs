@@ -25,6 +25,7 @@
 
 use anmat::obs;
 use anmat::prelude::*;
+use anmat::table::{parse_ops, OpLog, TableError};
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -395,49 +396,25 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse an op-log (see `usage`): each CSV record is one [`RowOp`].
-fn parse_ops(text: &str) -> Result<Vec<RowOp>, String> {
-    let records = csv::parse_raw_records(text, ',').map_err(|e| format!("parsing op-log: {e}"))?;
-    let mut ops = Vec::with_capacity(records.len());
-    for (i, record) in records.into_iter().enumerate() {
-        let line = i + 1;
-        let Some((code, rest)) = record.split_first() else {
-            continue;
-        };
-        let cells = |fields: &[String]| -> Vec<Value> {
-            fields.iter().map(|f| Value::from_field(f)).collect()
-        };
-        let rowid = |field: &String| -> Result<RowId, String> {
-            field
-                .parse()
-                .map_err(|_| format!("op-log record {line}: bad row id `{field}`"))
-        };
-        match code.as_str() {
-            "+" => ops.push(RowOp::Insert(cells(rest))),
-            "-" => match rest {
-                [id] => ops.push(RowOp::Delete(rowid(id)?)),
-                _ => {
-                    return Err(format!(
-                        "op-log record {line}: `-` wants exactly one row id"
-                    ))
-                }
-            },
-            "~" => match rest.split_first() {
-                Some((id, cells_rest)) => ops.push(RowOp::Update(rowid(id)?, cells(cells_rest))),
-                None => {
-                    return Err(format!(
-                        "op-log record {line}: `~` wants a row id and cells"
-                    ))
-                }
-            },
-            other => {
-                return Err(format!(
-                    "op-log record {line}: unknown op `{other}` (want `+`, `-` or `~`)"
-                ))
-            }
+/// An op-log error as the CLI prints it: `op-log line N: …` whenever
+/// the error can be pinned to a line — a parse error, or an op that
+/// failed validation (`lines` maps op index to line).
+fn op_log_error(lines: &[usize], error: TableError) -> String {
+    match error {
+        TableError::Csv { line, reason } => format!("op-log line {line}: {reason}"),
+        TableError::InvalidOp { op, error } => {
+            let detail = match *error {
+                // The row id a short insert would have taken means
+                // nothing to the log's author; the field count does.
+                TableError::ArityMismatch {
+                    found, expected, ..
+                } => format!("{found} cell(s), schema expects {expected}"),
+                other => other.to_string(),
+            };
+            format!("op-log line {}: {detail}", lines[op])
         }
+        other => format!("applying ops: {other}"),
     }
-    Ok(ops)
 }
 
 /// One `stats:` line from the live metrics registry — the deterministic
@@ -607,13 +584,11 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let mut applied_ops = 0usize;
     if let Some(path) = ops_file {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        let ops = parse_ops(&text)?;
+        let OpLog { ops, lines } = parse_ops(&text).map_err(|e| op_log_error(&[], e))?;
         applied_ops = ops.len();
         out!("applying {} op(s) from {path}", ops.len());
         let ops_started = Instant::now();
-        let events = engine
-            .apply(ops)
-            .map_err(|e| format!("applying ops: {e}"))?;
+        let events = engine.apply(ops).map_err(|e| op_log_error(&lines, e))?;
         obs::histogram!("cli.apply_ns")
             .record(u64::try_from(ops_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         if !quiet {

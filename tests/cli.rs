@@ -529,6 +529,59 @@ fn stream_ops_rejects_malformed_logs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn stream_ops_errors_name_the_log_line() {
+    let dir = std::env::temp_dir().join(format!("anmat_cli_opline_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (csv, rules) = zips_fixture(&dir);
+
+    for (ops_text, want) in [
+        // Row 0 deleted twice: the second delete, on line 2, fails.
+        (
+            "-,0\n-,0\n",
+            "op-log line 2: row 0 is out of range or already deleted",
+        ),
+        // A short insert names its line and cell count, not the slot it
+        // would have taken.
+        (
+            "-,1\n+,90005\n",
+            "op-log line 2: 1 cell(s), schema expects 2",
+        ),
+        // Blank lines count: the bad id is on line 3, record 2.
+        ("-,0\n\n-,x\n", "op-log line 3: bad row id `x`"),
+        // A quoted cell spanning two lines moves the next op to line 3.
+        (
+            "+,\"900\n05\",Los Angeles\n-,9\n",
+            "op-log line 3: row 9 is out of range or already deleted",
+        ),
+        // An unterminated quote is reported where it opened.
+        (
+            "-,0\n+,\"90005\n\n",
+            "op-log line 2: unterminated quoted field",
+        ),
+    ] {
+        let ops = dir.join("bad.ops");
+        std::fs::write(&ops, ops_text).unwrap();
+        let out = anmat(&[
+            "stream",
+            csv.to_str().unwrap(),
+            "--rules",
+            rules.to_str().unwrap(),
+            "--ops",
+            ops.to_str().unwrap(),
+        ]);
+        assert!(!out.status.success(), "`{ops_text}` must fail");
+        assert_eq!(
+            stderr(&out),
+            format!("error: {want}\n"),
+            "op-log `{ops_text}`"
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Write the standard 4-row zips fixture + one variable rule; returns
 /// (csv, rules) paths inside `dir`.
 fn zips_fixture(dir: &std::path::Path) -> (std::path::PathBuf, std::path::PathBuf) {
@@ -630,7 +683,12 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
             "gauge `{want}` in {gauges:?}"
         );
     }
-    for want in ["cli.replay_ns", "cli.apply_ns", "engine.batch_ns"] {
+    for want in [
+        "cli.replay_ns",
+        "cli.apply_ns",
+        "engine.batch_ns",
+        "engine.ledger_ns",
+    ] {
         assert!(
             histograms.iter().any(|k| k == want),
             "histogram `{want}` in {histograms:?}"
