@@ -8,19 +8,20 @@
 //! in profiling and streaming detection collapses onto per-distinct-value
 //! work, so throughput should rise super-linearly as the ratio drops.
 //! The per-distinct cost itself is measured across all three pattern
-//! execution tiers — AST interpreter, bytecode VM, fused single-pass
-//! matcher — and a *field-length* sweep (8/64/512-byte fields) isolates
-//! the SWAR class-scan kernel against its byte-at-a-time scalar twin.
+//! execution tiers — the AST interpreter (the oracle, called directly),
+//! the bytecode VM (a `vm_only` program) and the fused single-pass
+//! matcher (the sweep patterns' compiled tier) — and a *field-length*
+//! sweep (8/64/512-byte fields) isolates the SWAR class-scan kernel
+//! against its byte-at-a-time scalar twin.
 
 use anmat_bench::criterion;
 use anmat_core::{report, PatternTuple, Pfd};
 use anmat_datagen::{names, phone, zipcity};
 use anmat_obs as obs;
 use anmat_pattern::{
-    scan, AsciiSet, CompiledConstrained, CompiledPattern, ConstrainedPattern, PatternEngine,
-    SymbolClass,
+    scan, AsciiSet, CompiledConstrained, CompiledPattern, ConstrainedPattern, Pattern, SymbolClass,
 };
-use anmat_stream::{StreamConfig, StreamEngine};
+use anmat_stream::StreamEngine;
 use anmat_table::{Schema, Table, TableProfile};
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use std::time::Instant;
@@ -71,12 +72,39 @@ fn distinct_lhs(rows: usize, ratio: f64) -> Vec<String> {
     (0..distinct).map(|k| format!("9{k:04}")).collect()
 }
 
+/// Interleaved rounds per tier timing: each round times every tier
+/// once and each tier keeps its fastest round, so load drift on a shared
+/// host hits all three alike instead of whichever tier ran last.
+const ROUNDS: usize = 5;
+
+/// Per-tier best of [`ROUNDS`] interleaved `round`s.
+fn best_of_rounds(mut round: impl FnMut() -> [f64; 3]) -> [f64; 3] {
+    let mut best = [f64::INFINITY; 3];
+    for _ in 0..ROUNDS {
+        for (b, t) in best.iter_mut().zip(round()) {
+            *b = b.min(t);
+        }
+    }
+    best
+}
+
+/// Mean ns per call of `eval` over `values`, repeated `reps` times.
+fn time_ns(values: &[String], reps: usize, mut eval: impl FnMut(&str)) -> f64 {
+    let start = Instant::now();
+    for _ in 0..reps {
+        for v in values {
+            eval(v);
+        }
+    }
+    start.elapsed().as_secs_f64() * 1e9 / (reps * values.len()) as f64
+}
+
 /// ns per distinct value for the per-distinct work the memoized engines
 /// actually do once per new value: one constant-pattern match plus one
-/// blocking-key derivation, evaluated on the requested execution tier.
-/// The interp/vm/fused ratios are the tentpole's headline numbers.
-fn eval_ns_per_distinct(values: &[String], engine: PatternEngine) -> f64 {
-    let pattern = "9000\\D".parse().expect("pattern");
+/// blocking-key derivation, on each tier indexed like [`TIERS`]. The
+/// interp/vm/fused ratios are the compiled tiers' headline numbers.
+fn eval_ns_per_distinct(values: &[String]) -> [f64; 3] {
+    let pattern: Pattern = "9000\\D".parse().expect("pattern");
     let keyer: ConstrainedPattern = "[\\D{3}]\\D{2}".parse().expect("q");
     let cp = CompiledPattern::compile(&pattern);
     let cq = CompiledConstrained::compile(&keyer);
@@ -84,49 +112,61 @@ fn eval_ns_per_distinct(values: &[String], engine: PatternEngine) -> f64 {
         cp.is_fused() && cq.program().is_fused(),
         "sweep patterns are fixed-width and must take the fused tier"
     );
+    let (vp, vq) = (cp.clone().vm_only(), cq.clone().vm_only());
     let mut key_buf = String::new();
     // Enough repetitions that the fast tiers still accumulate a
     // wall-clock signal well above timer noise.
     let reps = (500_000 / values.len()).max(1);
-    let total = (reps * values.len()) as f64;
-    let start = Instant::now();
-    for _ in 0..reps {
-        for v in values {
-            black_box(cp.matches_with(v, engine));
-            black_box(cq.key_into_with(v, &mut key_buf, engine));
-        }
-    }
-    start.elapsed().as_secs_f64() * 1e9 / total
+    best_of_rounds(|| {
+        [
+            time_ns(values, reps, |v| {
+                black_box(pattern.matches(v));
+                black_box(keyer.key(v));
+            }),
+            time_ns(values, reps, |v| {
+                black_box(vp.matches(v));
+                black_box(vq.key_into(v, &mut key_buf));
+            }),
+            time_ns(values, reps, |v| {
+                black_box(cp.matches(v));
+                black_box(cq.key_into(v, &mut key_buf));
+            }),
+        ]
+    })
 }
 
-/// One timed full replay; returns (rows/s, pattern_evals).
-fn ingest_rate(table: &Table, rules: &[Pfd], engine: PatternEngine) -> (f64, usize) {
-    let config = StreamConfig {
-        pattern_engine: engine,
-        ..StreamConfig::default()
-    };
-    let mut engine = StreamEngine::with_config(table.schema().clone(), rules.to_vec(), config);
-    let start = Instant::now();
+/// Pattern evaluations one untimed default replay performs — the
+/// memoization bound (tuples × distinct) the sweep reports.
+fn replay_pattern_evals(table: &Table, rules: &[Pfd]) -> usize {
+    let mut engine = StreamEngine::new(table.schema().clone(), rules.to_vec());
     engine.replay_table(table).expect("schema matches");
-    let rate = table.row_count() as f64 / start.elapsed().as_secs_f64();
-    black_box(engine.ledger().live_count());
-    (rate, engine.pattern_evals())
+    engine.pattern_evals()
 }
 
 /// Per-field ns for an unbounded digit-run (`\D{1,}`) match on
-/// `len`-byte fields, per execution tier. The run scan *is* the whole
-/// field here, so this isolates the `AtLeast` scan loop the SWAR kernel
-/// accelerates.
-fn long_field_eval_ns(len: usize, engine: PatternEngine) -> f64 {
-    let pattern = "\\D{1,}".parse().expect("pattern");
-    let cp = CompiledPattern::compile(&pattern);
-    let field = "7".repeat(len);
+/// `len`-byte fields, on each tier indexed like [`TIERS`]. The run scan
+/// *is* the whole field here, so this isolates the `AtLeast` scan loop
+/// the SWAR kernel accelerates.
+fn long_field_eval_ns(len: usize) -> [f64; 3] {
+    let pattern: Pattern = "\\D{1,}".parse().expect("pattern");
+    let fused = CompiledPattern::compile(&pattern);
+    assert!(fused.is_fused(), "one variable op fuses");
+    let vm = fused.clone().vm_only();
+    let field = ["7".repeat(len)];
     let reps = (40_000_000 / len).max(1_000);
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(cp.matches_with(black_box(&field), engine));
-    }
-    start.elapsed().as_secs_f64() * 1e9 / reps as f64
+    best_of_rounds(|| {
+        [
+            time_ns(&field, reps, |v| {
+                black_box(pattern.matches(black_box(v)));
+            }),
+            time_ns(&field, reps, |v| {
+                black_box(vm.matches(black_box(v)));
+            }),
+            time_ns(&field, reps, |v| {
+                black_box(fused.matches(black_box(v)));
+            }),
+        ]
+    })
 }
 
 /// Raw scan-kernel ns per `len`-byte field: the SWAR 8-bytes-per-step
@@ -153,17 +193,15 @@ fn scan_kernel_ns(len: usize) -> (f64, f64) {
     (swar, scalar)
 }
 
-const TIERS: [PatternEngine; 3] = [
-    PatternEngine::Interp,
-    PatternEngine::Vm,
-    PatternEngine::Fused,
-];
+/// The measured tiers, in artifact order: the AST interpreter, the VM
+/// and the fused matcher.
+const TIERS: [&str; 3] = ["interp", "vm", "fused"];
 
 /// The machine-readable artifact (mirrors `BENCH_fig6.json`): for each
-/// distinct-ratio point, per-tier ingest rows/s and per-distinct eval
-/// ns; for each field length, per-tier `AtLeast`-scan eval ns plus the
-/// raw SWAR-vs-scalar kernel figures; and the end-of-run metrics
-/// registry of a default-engine replay (which carries
+/// distinct-ratio point, the pattern eval count of a replay and the
+/// per-tier per-distinct eval ns; for each field length, per-tier
+/// `AtLeast`-scan eval ns plus the raw SWAR-vs-scalar kernel figures;
+/// and the end-of-run metrics registry of a default replay (which carries
 /// `pattern.fused_evals` / `pattern.vm_evals` / `pattern.interp_evals`
 /// / `pattern.compile_ns`).
 fn write_fig3_json(rows: usize, sweep: &[SweepPoint], fields: &[FieldPoint]) {
@@ -180,29 +218,24 @@ fn write_fig3_json(rows: usize, sweep: &[SweepPoint], fields: &[FieldPoint]) {
         if !points.is_empty() {
             points.push_str(",\n");
         }
+        let tiers: Vec<String> = TIERS
+            .iter()
+            .zip(p.eval_ns)
+            .map(|(tier, ns)| {
+                format!("\"{tier}\": {{\n        \"eval_ns_per_distinct\": {ns:.1}\n      }}")
+            })
+            .collect();
         points.push_str(&format!(
             "    {{\n      \"pct_distinct\": {},\n      \"distinct\": {},\n      \
-             \"pattern_evals\": {},\n      \"interp\": {{\n        \
-             \"ingest_rows_per_sec\": {:.0},\n        \"eval_ns_per_distinct\": {:.1}\n      \
-             }},\n      \"vm\": {{\n        \"ingest_rows_per_sec\": {:.0},\n        \
-             \"eval_ns_per_distinct\": {:.1}\n      }},\n      \
-             \"fused\": {{\n        \"ingest_rows_per_sec\": {:.0},\n        \
-             \"eval_ns_per_distinct\": {:.1}\n      }},\n      \
+             \"pattern_evals\": {},\n      {},\n      \
              \"fused_vs_vm_eval_speedup\": {:.2},\n      \
-             \"fused_vs_interp_eval_speedup\": {:.2},\n      \
-             \"fused_ingest_speedup\": {:.2}\n    }}",
+             \"fused_vs_interp_eval_speedup\": {:.2}\n    }}",
             p.pct,
             p.distinct,
             p.pattern_evals,
-            p.rows_per_sec[0],
-            p.eval_ns[0],
-            p.rows_per_sec[1],
-            p.eval_ns[1],
-            p.rows_per_sec[2],
-            p.eval_ns[2],
+            tiers.join(",\n      "),
             p.eval_ns[1] / p.eval_ns[2],
             p.eval_ns[0] / p.eval_ns[2],
-            p.rows_per_sec[2] / p.rows_per_sec[0],
         ));
     }
     let mut field_points = String::new();
@@ -241,7 +274,6 @@ struct SweepPoint {
     distinct: usize,
     pattern_evals: usize,
     /// Indexed like [`TIERS`]: interp, vm, fused.
-    rows_per_sec: [f64; 3],
     eval_ns: [f64; 3],
 }
 
@@ -256,10 +288,7 @@ struct FieldPoint {
 fn bench_field_len_sweep() -> Vec<FieldPoint> {
     let mut out = Vec::new();
     for &len in &[8usize, 64, 512] {
-        let mut eval_ns = [0.0f64; 3];
-        for (i, &tier) in TIERS.iter().enumerate() {
-            eval_ns[i] = long_field_eval_ns(len, tier);
-        }
+        let eval_ns = long_field_eval_ns(len);
         let (swar_ns, scalar_ns) = scan_kernel_ns(len);
         println!(
             "── fig3 field-length artifact: {len:>3}-byte `\\D{{1,}}` field ──\n  \
@@ -293,22 +322,10 @@ fn bench_distinct_ratio_sweep(c: &mut Criterion) {
         // per ingest stay at (tuples × distinct), not (tuples × rows) —
         // plus the per-distinct cost itself across all three tiers.
         let values = distinct_lhs(ROWS, ratio);
-        let mut eval_ns = [0.0f64; 3];
-        let mut rows_per_sec = [0.0f64; 3];
-        let mut evals = [0usize; 3];
-        for (i, &tier) in TIERS.iter().enumerate() {
-            eval_ns[i] = eval_ns_per_distinct(&values, tier);
-            let (rate, n) = ingest_rate(&table, &rules, tier);
-            rows_per_sec[i] = rate;
-            evals[i] = n;
-        }
-        assert!(
-            evals[1] == evals[0] && evals[2] == evals[0],
-            "execution tier must not change the eval count"
-        );
+        let eval_ns = eval_ns_per_distinct(&values);
+        let pattern_evals = replay_pattern_evals(&table, &rules);
         println!(
-            "── fig3 sweep artifact: {pct}% distinct → {} pattern evals for {ROWS} rows ──",
-            evals[0]
+            "── fig3 sweep artifact: {pct}% distinct → {pattern_evals} pattern evals for {ROWS} rows ──"
         );
         println!(
             "  per-distinct eval: {:>7.1} ns interp / {:>6.1} ns vm / {:>6.1} ns fused \
@@ -319,19 +336,10 @@ fn bench_distinct_ratio_sweep(c: &mut Criterion) {
             eval_ns[1] / eval_ns[2],
             eval_ns[0] / eval_ns[2],
         );
-        println!(
-            "  full ingest      : {:>7.0} rows/s interp / {:>7.0} rows/s vm / \
-             {:>7.0} rows/s fused ({:.2}×)",
-            rows_per_sec[0],
-            rows_per_sec[1],
-            rows_per_sec[2],
-            rows_per_sec[2] / rows_per_sec[0],
-        );
         sweep.push(SweepPoint {
             pct,
             distinct: values.len(),
-            pattern_evals: evals[0],
-            rows_per_sec,
+            pattern_evals,
             eval_ns,
         });
         g.bench_with_input(BenchmarkId::new("profile", pct), &table, |b, t| {
@@ -343,24 +351,6 @@ fn bench_distinct_ratio_sweep(c: &mut Criterion) {
             |b, (t, rules)| {
                 b.iter(|| {
                     let mut engine = StreamEngine::new(t.schema().clone(), rules.to_vec());
-                    engine.replay_table(t).expect("schema matches");
-                    black_box(engine.ledger().live_count())
-                });
-            },
-        );
-        // The interpreter baseline on the identical workload — the
-        // criterion-tracked twin of the artifact's rows/s figures.
-        g.bench_with_input(
-            BenchmarkId::new("stream_ingest_interp", pct),
-            &(&table, &rules),
-            |b, (t, rules)| {
-                b.iter(|| {
-                    let config = StreamConfig {
-                        pattern_engine: PatternEngine::Interp,
-                        ..StreamConfig::default()
-                    };
-                    let mut engine =
-                        StreamEngine::with_config(t.schema().clone(), rules.to_vec(), config);
                     engine.replay_table(t).expect("schema matches");
                     black_box(engine.ledger().live_count())
                 });

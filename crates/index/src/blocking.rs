@@ -17,7 +17,7 @@
 //! and every map in this module hashes a 4-byte id instead of a string.
 
 use crate::inverted::{sort_rhs_counts, EntryStats};
-use anmat_pattern::{CompiledConstrained, ConstrainedPattern, PatternEngine};
+use anmat_pattern::{CompiledConstrained, ConstrainedPattern};
 use anmat_table::{RowId, RowIdRemap, Table, ValueId, ValuePool};
 use fxhash::FxHashMap;
 
@@ -317,11 +317,6 @@ pub struct BlockingPartition {
     /// The keyer, pre-compiled to span bytecode; `None` blocks on the
     /// whole LHS value.
     keyer: Option<CompiledConstrained>,
-    /// Which execution tier evaluates cache misses: fused-capable (the
-    /// default), the forced VM, or the AST interpreter (the measured
-    /// baseline). Either way extraction runs at most once per distinct
-    /// LHS value, so `key_evals` is invariant.
-    engine: PatternEngine,
     /// Key-string scratch reused across extractions, so a cache miss
     /// allocates nothing beyond interning a genuinely new key.
     key_buf: String,
@@ -344,25 +339,8 @@ impl BlockingPartition {
     /// the whole LHS value when `q` is `None`.
     #[must_use]
     pub fn new(q: Option<ConstrainedPattern>) -> BlockingPartition {
-        BlockingPartition::with_engine(q, PatternEngine::Fused)
-    }
-
-    /// An empty partition whose cache misses run on the AST interpreter
-    /// instead of the compiled tiers — the measured baseline for the
-    /// compiled-vs-interpreted comparison. Behaviour and eval counts are
-    /// identical; only the per-extraction cost differs.
-    #[must_use]
-    pub fn new_interpreted(q: Option<ConstrainedPattern>) -> BlockingPartition {
-        BlockingPartition::with_engine(q, PatternEngine::Interp)
-    }
-
-    /// An empty partition evaluating cache misses on an explicit
-    /// execution tier (compiling the keyer here).
-    #[must_use]
-    pub fn with_engine(q: Option<ConstrainedPattern>, engine: PatternEngine) -> BlockingPartition {
         BlockingPartition {
             keyer: q.map(|q| CompiledConstrained::compile(&q)),
-            engine,
             key_buf: String::new(),
             blocks: FxHashMap::default(),
             unmatched: Vec::new(),
@@ -373,16 +351,10 @@ impl BlockingPartition {
         }
     }
 
-    /// Derive the blocking key for `lhs` on the partition's execution
-    /// tier. Counts one eval (in the tier's `pattern.*_evals` counter)
-    /// either way.
-    fn derive_key(
-        q: &CompiledConstrained,
-        engine: PatternEngine,
-        key_buf: &mut String,
-        lhs: ValueId,
-    ) -> Option<ValueId> {
-        q.key_into_with(lhs.render(), key_buf, engine)
+    /// Derive the blocking key for `lhs`. Counts one eval (in the
+    /// program's `pattern.*_evals` tier counter) either way.
+    fn derive_key(q: &CompiledConstrained, key_buf: &mut String, lhs: ValueId) -> Option<ValueId> {
+        q.key_into(lhs.render(), key_buf)
             .then(|| ValuePool::intern(key_buf))
     }
 
@@ -396,7 +368,7 @@ impl BlockingPartition {
         self.key_lookups += 1;
         *self.key_cache.entry(lhs).or_insert_with(|| {
             self.key_evals += 1;
-            BlockingPartition::derive_key(q, self.engine, &mut self.key_buf, lhs)
+            BlockingPartition::derive_key(q, &mut self.key_buf, lhs)
         })
     }
 
@@ -467,7 +439,7 @@ impl BlockingPartition {
                 continue;
             }
             self.key_evals += 1;
-            let key = BlockingPartition::derive_key(q, self.engine, &mut self.key_buf, lhs);
+            let key = BlockingPartition::derive_key(q, &mut self.key_buf, lhs);
             self.key_cache.insert(lhs, key);
         }
     }
@@ -748,20 +720,21 @@ mod tests {
     }
 
     #[test]
-    fn interpreted_mode_matches_compiled() {
+    fn keys_match_the_interpreted_oracle() {
         let q: ConstrainedPattern = "[\\D{3}]\\D{2}".parse().unwrap();
-        let mut compiled = BlockingPartition::new(Some(q.clone()));
-        let mut interp = BlockingPartition::new_interpreted(Some(q));
+        let mut p = BlockingPartition::new(Some(q.clone()));
         for row in 0..100u32 {
-            let lhs = id(&format!("90{:03}", row % 7));
-            compiled.insert(row as RowId, lhs, id("LA"));
-            interp.insert(row as RowId, lhs, id("LA"));
+            let s = if row % 9 == 0 {
+                format!("9x{:03}", row % 7)
+            } else {
+                format!("{:03}{:02}", row % 5 * 100, row % 7)
+            };
+            let expected = match q.key(&s) {
+                Some(k) => Placement::Block(id(&k)),
+                None => Placement::Unmatched,
+            };
+            assert_eq!(p.insert(row as RowId, id(&s), id("LA")), expected, "{s}");
         }
-        assert_eq!(compiled.key_evals(), interp.key_evals());
-        assert_eq!(compiled.key_lookups(), interp.key_lookups());
-        let (a, b) = (compiled.freeze(), interp.freeze());
-        assert_eq!(a.blocks, b.blocks);
-        assert_eq!(a.unmatched, b.unmatched);
     }
 
     #[test]

@@ -25,13 +25,15 @@
 //!   ([`crate::vm`]) — no `Vec<char>` collection, no recursion, scratch
 //!   reused thread-locally.
 //!
-//! Which tier evaluates a value is picked per call via [`PatternEngine`]:
-//! `Fused` (the default) uses the fused matcher when the pattern proved
-//! fusible and the VM otherwise; `Vm` forces the VM; `Interp` forces the
-//! AST interpreter (the property-tested semantic oracle). The split is
-//! observable as the `pattern.fused_evals` / `pattern.vm_evals` /
-//! `pattern.interp_evals` counters, and compilation time itself lands in
-//! the `pattern.compile_ns` histogram.
+//! The tier is a property of the compiled program, not a run-time
+//! choice: fused when the pattern proved fusible, the VM otherwise. The
+//! AST interpreter ([`crate::matcher`]) is the property-tested semantic
+//! oracle the compiled tiers are checked against; production evaluation
+//! reaches it only for inputs of 4 GiB or more, which the VM's `u32`
+//! frame fields cannot address. The split is observable as the
+//! `pattern.fused_evals` / `pattern.vm_evals` / `pattern.interp_evals`
+//! counters, and compilation time itself lands in the
+//! `pattern.compile_ns` histogram.
 
 use crate::ast::Pattern;
 use crate::constrained::ConstrainedPattern;
@@ -41,61 +43,7 @@ use crate::scan::{self, ScanKind};
 use crate::symbol::SymbolClass;
 use crate::vm;
 use std::cell::RefCell;
-use std::fmt;
-use std::str::FromStr;
 use std::sync::OnceLock;
-
-/// Which execution tier evaluates pattern matches and key extractions.
-///
-/// All three tiers are semantically identical (property-tested); they
-/// differ only in cost. The taxonomy is observable through the
-/// `pattern.fused_evals` / `pattern.vm_evals` / `pattern.interp_evals`
-/// counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PatternEngine {
-    /// The AST interpreter — the semantic oracle. Slowest; kept for
-    /// baselines and differential testing.
-    Interp,
-    /// The bytecode VM — non-recursive backtracking over flat ops.
-    Vm,
-    /// Fused-capable (the default): backtrack-free patterns run on the
-    /// single-pass fused matcher, everything else on the VM.
-    #[default]
-    Fused,
-}
-
-impl PatternEngine {
-    /// The CLI spelling (`--pattern-engine {interp,vm,fused}`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PatternEngine::Interp => "interp",
-            PatternEngine::Vm => "vm",
-            PatternEngine::Fused => "fused",
-        }
-    }
-}
-
-impl fmt::Display for PatternEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for PatternEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<PatternEngine, String> {
-        match s {
-            "interp" | "interpreter" => Ok(PatternEngine::Interp),
-            "vm" => Ok(PatternEngine::Vm),
-            "fused" => Ok(PatternEngine::Fused),
-            other => Err(format!(
-                "unknown pattern engine {other:?} (expected interp, vm, or fused)"
-            )),
-        }
-    }
-}
 
 /// Precomputed ASCII membership set for one symbol class: bit `b` is set
 /// iff the class matches the character with code point `b` (`b < 128`).
@@ -351,9 +299,17 @@ impl Op {
     }
 }
 
+/// The tier that runs one evaluation, as `CompiledPattern::pick` chose it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Interp,
+    Vm,
+    Fused,
+}
+
 /// A [`Pattern`] compiled to flat bytecode, with the fused-tier plan
-/// probed up front and the source AST retained for the `Interp` oracle
-/// tier.
+/// probed up front and the source AST retained for the ≥ 4 GiB
+/// interpreter fallback.
 #[derive(Debug, Clone)]
 pub struct CompiledPattern {
     ops: Vec<Op>,
@@ -415,34 +371,38 @@ impl CompiledPattern {
         &self.source
     }
 
-    /// Did compilation prove the pattern backtrack-free (so the `Fused`
-    /// engine runs it on the single-pass matcher)?
+    /// Did compilation prove the pattern backtrack-free (so it runs on
+    /// the single-pass fused matcher rather than the VM)?
     #[must_use]
     pub fn is_fused(&self) -> bool {
         self.fused.is_some()
     }
 
-    /// Does `s` match the pattern? (Anchored; identical to
-    /// [`Pattern::matches`].) Runs on the default fused-capable tier.
+    /// The same program with the fused plan dropped, so every evaluation
+    /// runs on the backtracking VM. Differential tests and benches use
+    /// it to exercise the VM on fusible patterns.
+    #[doc(hidden)]
     #[must_use]
-    pub fn matches(&self, s: &str) -> bool {
-        self.matches_with(s, PatternEngine::Fused)
+    pub fn vm_only(mut self) -> Self {
+        self.fused = None;
+        self
     }
 
-    /// [`CompiledPattern::matches`] on an explicit tier. Exactly one
+    /// Does `s` match the pattern? (Anchored; identical to
+    /// [`Pattern::matches`].) Exactly one
     /// `pattern.{fused,vm,interp}_evals` counter ticks per call.
     #[must_use]
-    pub fn matches_with(&self, s: &str, engine: PatternEngine) -> bool {
-        match self.pick(s, engine) {
-            PatternEngine::Interp => {
+    pub fn matches(&self, s: &str) -> bool {
+        match self.pick(s) {
+            Tier::Interp => {
                 anmat_obs::counter!("pattern.interp_evals").incr();
                 crate::matcher::match_pattern(&self.source, s)
             }
-            PatternEngine::Vm => {
+            Tier::Vm => {
                 anmat_obs::counter!("pattern.vm_evals").incr();
                 self.exec(s, None, false)
             }
-            PatternEngine::Fused => {
+            Tier::Fused => {
                 anmat_obs::counter!("pattern.fused_evals").incr();
                 self.exec(s, None, true)
             }
@@ -454,19 +414,13 @@ impl CompiledPattern {
     /// (**character** indices on every tier and every input).
     #[must_use]
     pub fn spans(&self, s: &str) -> Option<MatchSpans> {
-        self.spans_with(s, PatternEngine::Fused)
-    }
-
-    /// [`CompiledPattern::spans`] on an explicit tier.
-    #[must_use]
-    pub fn spans_with(&self, s: &str, engine: PatternEngine) -> Option<MatchSpans> {
-        match self.pick(s, engine) {
-            PatternEngine::Interp => {
+        match self.pick(s) {
+            Tier::Interp => {
                 anmat_obs::counter!("pattern.interp_evals").incr();
                 crate::matcher::match_spans(&self.source, s)
             }
             tier => {
-                let fused = tier == PatternEngine::Fused;
+                let fused = tier == Tier::Fused;
                 anmat_obs::counter!(if fused {
                     "pattern.fused_evals"
                 } else {
@@ -481,19 +435,17 @@ impl CompiledPattern {
         }
     }
 
-    /// Resolve the requested engine to the tier that will actually run:
-    /// `Fused` degrades to `Vm` for non-fusible programs, and inputs the
-    /// u32 frame fields cannot address (≥ 4 GiB — a correctness guard,
-    /// not a workload) take the oracle.
+    /// The tier that evaluates `s`: fused for fusible programs, the VM
+    /// otherwise, and the interpreter for inputs the u32 frame fields
+    /// cannot address (≥ 4 GiB — a correctness guard, not a workload).
     #[inline]
-    fn pick(&self, s: &str, engine: PatternEngine) -> PatternEngine {
-        if engine == PatternEngine::Interp || s.len() >= u32::MAX as usize {
-            return PatternEngine::Interp;
-        }
-        if engine == PatternEngine::Fused && self.fused.is_some() {
-            PatternEngine::Fused
+    fn pick(&self, s: &str) -> Tier {
+        if s.len() >= u32::MAX as usize {
+            Tier::Interp
+        } else if self.fused.is_some() {
+            Tier::Fused
         } else {
-            PatternEngine::Vm
+            Tier::Vm
         }
     }
 
@@ -623,6 +575,17 @@ impl CompiledConstrained {
         &self.program
     }
 
+    /// The same keyer with the fused plan and the fixed-width slices
+    /// dropped, so every extraction runs on the VM (see
+    /// [`CompiledPattern::vm_only`]).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn vm_only(mut self) -> Self {
+        self.program = self.program.vm_only();
+        self.fixed_slices = None;
+        self
+    }
+
     /// Does `s` match the embedded pattern?
     #[must_use]
     pub fn matches(&self, s: &str) -> bool {
@@ -632,16 +595,12 @@ impl CompiledConstrained {
     /// The blocking key of `s`, written into `out` (cleared first).
     /// Returns `false` (leaving `out` empty) if `s` does not match.
     /// Identical to [`ConstrainedPattern::key`] but allocation-free.
+    /// Exactly one `pattern.{fused,vm,interp}_evals` counter ticks per
+    /// call.
     pub fn key_into(&self, s: &str, out: &mut String) -> bool {
-        self.key_into_with(s, out, PatternEngine::Fused)
-    }
-
-    /// [`CompiledConstrained::key_into`] on an explicit tier. Exactly
-    /// one `pattern.{fused,vm,interp}_evals` counter ticks per call.
-    pub fn key_into_with(&self, s: &str, out: &mut String, engine: PatternEngine) -> bool {
         out.clear();
-        match self.program.pick(s, engine) {
-            PatternEngine::Interp => {
+        match self.program.pick(s) {
+            Tier::Interp => {
                 anmat_obs::counter!("pattern.interp_evals").incr();
                 match self.source.key(s) {
                     Some(k) => {
@@ -652,7 +611,7 @@ impl CompiledConstrained {
                 }
             }
             tier => {
-                let fused = tier == PatternEngine::Fused;
+                let fused = tier == Tier::Fused;
                 anmat_obs::counter!(if fused {
                     "pattern.fused_evals"
                 } else {
@@ -725,11 +684,11 @@ mod tests {
         s.parse().unwrap()
     }
 
-    const ENGINES: [PatternEngine; 3] = [
-        PatternEngine::Interp,
-        PatternEngine::Vm,
-        PatternEngine::Fused,
-    ];
+    /// The default program and its VM-only twin, labelled for messages.
+    fn tiers(p: &Pattern) -> [(&'static str, CompiledPattern); 2] {
+        let c = CompiledPattern::compile(p);
+        [("default", c.clone()), ("vm", c.vm_only())]
+    }
 
     #[test]
     fn ascii_set_matches_class_semantics() {
@@ -887,14 +846,12 @@ mod tests {
         ];
         for ps in patterns {
             let p = pat(ps);
-            let c = CompiledPattern::compile(&p);
-            for s in inputs {
-                let expected = match_pattern(&p, s);
-                for engine in ENGINES {
+            for (tier, c) in tiers(&p) {
+                for s in inputs {
                     assert_eq!(
-                        c.matches_with(s, engine),
-                        expected,
-                        "{ps:?} vs {s:?} on {engine}"
+                        c.matches(s),
+                        match_pattern(&p, s),
+                        "{ps:?} vs {s:?} on {tier}"
                     );
                 }
             }
@@ -918,14 +875,9 @@ mod tests {
         ];
         for (ps, s) in cases {
             let p = pat(ps);
-            let c = CompiledPattern::compile(&p);
             let expected = match_spans(&p, s);
-            for engine in ENGINES {
-                assert_eq!(
-                    c.spans_with(s, engine),
-                    expected,
-                    "{ps:?} vs {s:?} on {engine}"
-                );
+            for (tier, c) in tiers(&p) {
+                assert_eq!(c.spans(s), expected, "{ps:?} vs {s:?} on {tier}");
             }
         }
     }
@@ -947,11 +899,9 @@ mod tests {
         for (qs, inputs) in cases {
             let q = cp(qs);
             let c = CompiledConstrained::compile(&q);
-            for s in inputs {
-                for engine in ENGINES {
-                    let mut out = String::new();
-                    let hit = c.key_into_with(s, &mut out, engine);
-                    assert_eq!(hit.then_some(out), q.key(s), "{qs:?} vs {s:?} on {engine}");
+            for (tier, c) in [("default", c.clone()), ("vm", c.vm_only())] {
+                for s in &inputs {
+                    assert_eq!(c.key(s), q.key(s), "{qs:?} vs {s:?} on {tier}");
                 }
             }
         }
@@ -968,15 +918,5 @@ mod tests {
         assert!(buf.is_empty());
         assert!(c.key_into("85032", &mut buf));
         assert_eq!(buf, "850");
-    }
-
-    #[test]
-    fn engine_parsing() {
-        assert_eq!("interp".parse(), Ok(PatternEngine::Interp));
-        assert_eq!("vm".parse(), Ok(PatternEngine::Vm));
-        assert_eq!("fused".parse(), Ok(PatternEngine::Fused));
-        assert_eq!(PatternEngine::default(), PatternEngine::Fused);
-        assert!("jit".parse::<PatternEngine>().is_err());
-        assert_eq!(PatternEngine::Vm.to_string(), "vm");
     }
 }

@@ -17,8 +17,9 @@
 //!   evaluated by a non-recursive backtracking VM ([`vm`]) directly over
 //!   `&str` bytes with SWAR class-run scans ([`scan`]), or — when
 //!   compilation proves the pattern backtrack-free — by the fused
-//!   single-pass matcher ([`fuse`]); the tier is picked per call via
-//!   [`PatternEngine`];
+//!   single-pass matcher ([`fuse`]); the tier is fixed when the pattern
+//!   compiles, and the [`matcher`] interpreter is the oracle both tiers
+//!   are tested against;
 //! * [`containment`] — sound and complete language-inclusion checking
 //!   (`P ⊆ P'`) plus least-general generalization of two patterns;
 //! * [`induce`](mod@induce) — pattern induction from string samples, the primitive the
@@ -63,7 +64,7 @@ pub mod symbol;
 pub mod vm;
 
 pub use ast::{Element, Pattern, Quantifier};
-pub use compile::{AsciiSet, ClassSet, CompiledConstrained, CompiledPattern, Op, PatternEngine};
+pub use compile::{AsciiSet, ClassSet, CompiledConstrained, CompiledPattern, Op};
 pub use constrained::{ConstrainedPattern, Segment};
 pub use containment::{contains, equivalent, generalize_patterns, intersects};
 pub use error::PatternError;

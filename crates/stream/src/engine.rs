@@ -35,7 +35,7 @@ use anmat_core::{
 };
 use anmat_index::{BlockingPartition, KeyBlock, Placement};
 use anmat_obs as obs;
-use anmat_pattern::{CompiledPattern, MatchMemo, PatternEngine};
+use anmat_pattern::{CompiledPattern, MatchMemo};
 use anmat_table::{
     ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, TableSnapshot, Value,
     ValueId, ValuePool,
@@ -44,7 +44,7 @@ use fxhash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// Engine thresholds (the drift monitor's discovery-style knobs) plus
-/// the compaction, reclamation and pattern-tier modes.
+/// the compaction and reclamation modes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Rows a rule must match before drift is judged.
@@ -58,13 +58,6 @@ pub struct StreamConfig {
     /// space). `<= 0.0` (the default) disables auto-compaction;
     /// [`StreamEngine::compact`] stays available manually either way.
     pub compact_ratio: f64,
-    /// Which execution tier evaluates memo misses — fused-capable
-    /// compiled bytecode (the default), the forced bytecode VM, or the
-    /// AST interpreter (the measured baseline and the CLI's
-    /// `--pattern-engine interp` flag). Violations, events, and eval
-    /// counts are identical across tiers; only the per-distinct-value
-    /// evaluation cost differs.
-    pub pattern_engine: PatternEngine,
     /// Tie string reclamation to the compaction epochs: the engine
     /// enables batch-granular [`ValuePool`] refcounting on its table and,
     /// at the end of every compaction barrier, frees interned strings no
@@ -85,7 +78,6 @@ impl Default for StreamConfig {
             min_support: 8,
             max_violation_ratio: 0.3,
             compact_ratio: 0.0,
-            pattern_engine: PatternEngine::Fused,
             reclaim: false,
         }
     }
@@ -217,8 +209,7 @@ fn validate_ops(table: &Table, ops: &[RowOp]) -> Result<(), TableError> {
 #[derive(Debug)]
 struct ConstantTuple {
     /// The LHS pattern compiled to bytecode (`None` = wildcard: every
-    /// non-null LHS). The source AST rides inside for the interpreter
-    /// tier.
+    /// non-null LHS).
     compiled: Option<CompiledPattern>,
     /// Per-`(pattern, ValueId)` match memo: the pattern is evaluated at
     /// most once per distinct LHS value, not once per row.
@@ -362,7 +353,6 @@ impl ConstantTuple {
         &mut self,
         table: &Table,
         pfd: &Pfd,
-        engine: PatternEngine,
         lhs: usize,
         rhs: usize,
         lhs_id: ValueId,
@@ -374,7 +364,7 @@ impl ConstantTuple {
             return false;
         };
         if let Some(c) = &self.compiled {
-            if !self.memo.matches_with(c, engine, lhs_id.raw(), value) {
+            if !self.memo.matches(c, lhs_id.raw(), value) {
                 return false;
             }
         }
@@ -524,15 +514,12 @@ struct RuleState {
     /// attribute (the rule is inert, exactly like batch detection).
     cols: Option<(usize, usize)>,
     tuples: Vec<TupleState>,
-    /// Which execution tier memo misses run on; see
-    /// [`StreamConfig::pattern_engine`].
-    engine: PatternEngine,
 }
 
 impl RuleState {
     /// Seed a rule: resolve its columns against `schema` and compile
     /// every tableau tuple's LHS program once, up front.
-    fn seed(pfd: Pfd, schema: &Schema, engine: PatternEngine) -> RuleState {
+    fn seed(pfd: Pfd, schema: &Schema) -> RuleState {
         let cols = match (
             schema.index_of(&pfd.lhs_attr),
             schema.index_of(&pfd.rhs_attr),
@@ -556,19 +543,14 @@ impl RuleState {
                         expected: ValuePool::intern(expected),
                     }),
                     RhsCell::Wildcard => TupleState::Variable(Box::new(VariableTuple {
-                        partition: BlockingPartition::with_engine(pattern.cloned(), engine),
+                        partition: BlockingPartition::new(pattern.cloned()),
                         display,
                         blocks: FxHashMap::default(),
                     })),
                 }
             })
             .collect();
-        RuleState {
-            pfd,
-            cols,
-            tuples,
-            engine,
-        }
+        RuleState { pfd, cols, tuples }
     }
 
     /// Batch-classify: warm every tuple's per-distinct-value cache over
@@ -577,12 +559,8 @@ impl RuleState {
     /// exactly the one evaluation the lazy path would have paid on first
     /// sighting, so [`RuleState::pattern_evals`] is invariant — priming
     /// is a locality optimization (one program, one cache, no per-row
-    /// dispatch between evals), never extra work. No-op in interpreted
-    /// mode (the baseline keeps the per-row lazy shape).
+    /// dispatch between evals), never extra work.
     fn prime_batch(&mut self, rows: &[&[ValueId]]) {
-        if self.engine == PatternEngine::Interp {
-            return;
-        }
         let Some((lhs, _)) = self.cols else {
             return;
         };
@@ -590,9 +568,8 @@ impl RuleState {
             match tuple {
                 TupleState::Constant(ct) => {
                     if let Some(c) = &ct.compiled {
-                        ct.memo.prime_with(
+                        ct.memo.prime(
                             c,
-                            self.engine,
                             rows.iter().filter_map(|r| {
                                 let id = r[lhs];
                                 id.as_str().map(|s| (id.raw(), s))
@@ -621,17 +598,7 @@ impl RuleState {
         for tuple in &mut self.tuples {
             match tuple {
                 TupleState::Constant(ct) => {
-                    matched |= ct.process(
-                        table,
-                        &self.pfd,
-                        self.engine,
-                        lhs,
-                        rhs,
-                        lhs_id,
-                        row,
-                        false,
-                        sink,
-                    );
+                    matched |= ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, false, sink);
                 }
                 TupleState::Variable(vt) => {
                     let Placement::Block(key) = vt.partition.insert(row, lhs_id, rhs_id) else {
@@ -663,17 +630,7 @@ impl RuleState {
                     // Rebuild the violation the arrival created (the
                     // check is the same id comparison; the memo makes
                     // the pattern free) and retract it.
-                    matched |= ct.process(
-                        table,
-                        &self.pfd,
-                        self.engine,
-                        lhs,
-                        rhs,
-                        lhs_id,
-                        row,
-                        true,
-                        sink,
-                    );
+                    matched |= ct.process(table, &self.pfd, lhs, rhs, lhs_id, row, true, sink);
                 }
                 TupleState::Variable(vt) => {
                     let Placement::Block(key) = vt.partition.remove(row, lhs_id) else {
@@ -877,7 +834,7 @@ impl StreamEngine {
         let drift = DriftMonitor::new(rules.len(), config.min_support, config.max_violation_ratio);
         let states = rules
             .into_iter()
-            .map(|pfd| RuleState::seed(pfd, &schema, config.pattern_engine))
+            .map(|pfd| RuleState::seed(pfd, &schema))
             .collect();
         let mut table = Table::empty(schema);
         if config.reclaim {

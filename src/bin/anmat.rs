@@ -108,23 +108,16 @@ fn usage() -> String {
      \x20                [--demote-drifted] [--violations F] [--min-support N]\n\
      \x20                [--compact-ratio R] [--reclaim] [--checkpoint]\n\
      \x20                [--stats-every N] [--metrics-out FILE]\n\
-     \x20                [--pattern-engine interp|vm|fused]\n\
-     \x20                (--pattern-engine picks the execution tier: `fused`\n\
-     \x20                — the default — runs backtrack-free patterns on the\n\
-     \x20                single-pass fused matcher and the rest on the\n\
-     \x20                bytecode VM; `vm` forces the VM; `interp` runs the\n\
-     \x20                AST interpreter — the measured baseline (also\n\
-     \x20                spelled --interpret); output is bit-for-bit\n\
-     \x20                identical across all three;\n\
-     \x20                drift thresholds: pass the values the rules were\n\
+     \x20                (drift thresholds: pass the values the rules were\n\
      \x20                discovered with;\n\
      \x20                --compact-ratio R reclaims tombstoned slots once\n\
      \x20                they exceed fraction R of the table, renumbering\n\
      \x20                rows via an epoch-stamped remap;\n\
-     \x20                --reclaim additionally sweeps interned strings no\n\
-     \x20                longer referenced by any live row at each\n\
-     \x20                compaction barrier, recycling their pool ids —\n\
-     \x20                output is bit-for-bit identical either way;\n\
+     \x20                --reclaim (needs --compact-ratio) additionally\n\
+     \x20                sweeps interned strings no longer referenced by\n\
+     \x20                any live row at each compaction barrier, recycling\n\
+     \x20                their pool ids — output is bit-for-bit identical\n\
+     \x20                either way;\n\
      \x20                --checkpoint (needs --store) writes a consistent\n\
      \x20                {epoch, table, live violations} JSON checkpoint\n\
      \x20                into the store from a copy-on-write snapshot;\n\
@@ -171,6 +164,16 @@ fn no_leftovers(command: &str, args: &[String]) -> Result<(), String> {
         Some(arg) => Err(format!("{command}: unexpected argument `{arg}`")),
         None => Ok(()),
     }
+}
+
+/// Parse a ratio flag (`--coverage`, `--violations`): a finite value in
+/// `[0, 1]`. NaN and out-of-range thresholds are refused, never run.
+fn parse_ratio(flag: &str, value: &str) -> Result<f64, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|r: &f64| (0.0..=1.0).contains(r))
+        .ok_or(format!("bad {flag} `{value}` (want a ratio in [0, 1])"))
 }
 
 /// The `<data.csv>` positional left once every flag was taken; anything
@@ -222,17 +225,16 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
     let min_support = take_flag(&mut args, "--min-support")?;
     let paper_style = take_switch(&mut args, "--paper-style");
     let path = sole_path("discover", args)?;
-    let table = csv::read_path(&path).map_err(|e| format!("reading {path}: {e}"))?;
 
     let mut config = DiscoveryConfig {
         relation: dataset_name(&path),
         ..DiscoveryConfig::default()
     };
     if let Some(c) = coverage {
-        config.min_coverage = c.parse().map_err(|_| format!("bad --coverage `{c}`"))?;
+        config.min_coverage = parse_ratio("--coverage", &c)?;
     }
     if let Some(v) = violations {
-        config.max_violation_ratio = v.parse().map_err(|_| format!("bad --violations `{v}`"))?;
+        config.max_violation_ratio = parse_ratio("--violations", &v)?;
     }
     if let Some(s) = min_support {
         config.min_support = s.parse().map_err(|_| format!("bad --min-support `{s}`"))?;
@@ -240,6 +242,7 @@ fn cmd_discover(args: &[String]) -> Result<(), String> {
     if paper_style {
         config.context_style = ContextStyle::AnyString;
     }
+    let table = csv::read_path(&path).map_err(|e| format!("reading {path}: {e}"))?;
 
     let pfds = discover(&table, &config);
     // Save before printing: a reader that stops early (`| head`) ends
@@ -467,16 +470,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let demote_drifted = take_switch(&mut args, "--demote-drifted");
     let reclaim = take_switch(&mut args, "--reclaim");
     let checkpoint = take_switch(&mut args, "--checkpoint");
-    let interpret = take_switch(&mut args, "--interpret");
-    let pattern_engine = match take_flag(&mut args, "--pattern-engine")? {
-        Some(s) => s
-            .parse::<PatternEngine>()
-            .map_err(|e| format!("bad --pattern-engine: {e}"))?,
-        // --interpret survives as the baseline alias from before the
-        // three-tier flag existed.
-        None if interpret => PatternEngine::Interp,
-        None => PatternEngine::Fused,
-    };
     let metrics_out = take_flag(&mut args, "--metrics-out")?;
     let stats_every: Option<usize> = match take_flag(&mut args, "--stats-every")? {
         Some(n) => Some(
@@ -498,13 +491,11 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     // Drift thresholds: pass the values the rules were discovered with
     // (mirrors `discover`'s flags); defaults match StreamConfig.
     let mut stream_config = StreamConfig {
-        pattern_engine,
         reclaim,
         ..StreamConfig::default()
     };
     if let Some(v) = take_flag(&mut args, "--violations")? {
-        stream_config.max_violation_ratio =
-            v.parse().map_err(|_| format!("bad --violations `{v}`"))?;
+        stream_config.max_violation_ratio = parse_ratio("--violations", &v)?;
     }
     if let Some(s) = take_flag(&mut args, "--min-support")? {
         stream_config.min_support = s.parse().map_err(|_| format!("bad --min-support `{s}`"))?;
@@ -523,6 +514,11 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     }
     if checkpoint && store_dir.is_none() {
         return Err("--checkpoint needs --store DIR".into());
+    }
+    // The sweep runs only at a compaction barrier; without a ratio no
+    // barrier ever comes and refcounting would be paid for nothing.
+    if reclaim && stream_config.compact_ratio <= 0.0 {
+        return Err("--reclaim needs --compact-ratio R".into());
     }
     let path = &sole_path("stream", args)?;
     // Timing output is wall-clock and thus nondeterministic; --quiet and
@@ -678,18 +674,16 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
             swept.bytes
         );
     }
-    // The three-way engine split (which execution tier actually ran the
+    // The three-way tier split (which execution tier actually ran the
     // evals). Counters only move while the recorder is on, so the line
-    // is printed only then; it is deterministic for a given engine mode
-    // but naturally differs across --pattern-engine modes.
+    // is printed only then; it is deterministic for a given input.
     if recording {
         let snap = obs::MetricsSnapshot::capture();
         out!(
-            "pattern tiers: {} fused / {} vm / {} interp eval(s), engine {}",
+            "pattern tiers: {} fused / {} vm / {} interp eval(s)",
             snap.counter("pattern.fused_evals").unwrap_or(0),
             snap.counter("pattern.vm_evals").unwrap_or(0),
-            snap.counter("pattern.interp_evals").unwrap_or(0),
-            stream_config.pattern_engine
+            snap.counter("pattern.interp_evals").unwrap_or(0)
         );
     }
     if timing {

@@ -216,6 +216,53 @@ fn every_subcommand_rejects_unconsumed_arguments() {
             &["stream", csv, "--rules", rules, "--shards", "2"],
             "stream: unexpected argument `--shards`",
         ),
+        // So are the pattern-tier knobs: each compiled program picks
+        // its own tier.
+        (
+            &["stream", csv, "--rules", rules, "--pattern-engine", "vm"],
+            "stream: unexpected argument `--pattern-engine`",
+        ),
+        (
+            &["stream", csv, "--rules", rules, "--interpret"],
+            "stream: unexpected argument `--interpret`",
+        ),
+        // Thresholds are finite ratios in [0, 1]; anything else would
+        // run with a meaningless cut-off.
+        (
+            &["discover", csv, "--violations", "nan"],
+            "bad --violations `nan` (want a ratio in [0, 1])",
+        ),
+        (
+            &["discover", csv, "--coverage", "-1", "--violations", "5"],
+            "bad --coverage `-1` (want a ratio in [0, 1])",
+        ),
+        (
+            &["discover", csv, "--coverage", "inf"],
+            "bad --coverage `inf` (want a ratio in [0, 1])",
+        ),
+        (
+            &[
+                "stream",
+                csv,
+                "--store",
+                store,
+                "--violations",
+                "nan",
+                "--min-support",
+                "0",
+            ],
+            "bad --violations `nan` (want a ratio in [0, 1])",
+        ),
+        (
+            &["stream", csv, "--rules", rules, "--violations", "1.5"],
+            "bad --violations `1.5` (want a ratio in [0, 1])",
+        ),
+        // The string sweep runs only at a compaction barrier, so
+        // --reclaim alone would refcount every push for nothing.
+        (
+            &["stream", csv, "--rules", rules, "--reclaim"],
+            "--reclaim needs --compact-ratio R",
+        ),
         // A trailing flag with no value is an error, not a no-op.
         (
             &["stream", csv, "--store", store, "--batch"],
