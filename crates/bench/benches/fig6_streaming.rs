@@ -278,11 +278,7 @@ fn recorder_overhead_artifact(data: &Dataset, rules: &[Pfd]) -> (f64, f64, f64, 
 ///   under reclamation, while the no-reclaim twin's pool grows with
 ///   *history* (one stranded string per dead insert, forever);
 /// * **cheap sweep**: throughput cost ≤ 5%. The comparison is biased
-///   *against* the reclaim leg — it also pays refcount maintenance and
-///   the mid-run snapshot captures;
-/// * **cheap snapshots**: capturing an `EngineSnapshot` mid-ingest is
-///   microseconds — it clones chunk handles and the live-violation
-///   map, `O(mutated chunks)`, never `O(rows)`.
+///   *against* the reclaim leg — it also pays refcount maintenance.
 ///
 /// The two legs (and each repetition) mint disjoint city universes so
 /// pool deltas are attributable and the reclaim leg can never free a
@@ -315,7 +311,6 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
         live_rows: usize,
         live_string_bytes: usize,
         swept: anmat_table::ReclaimStats,
-        snap_us: Vec<f64>,
     }
     let run_leg = |tag: &str, reclaim: bool, ops_budget: usize| -> Leg {
         let config = StreamConfig {
@@ -328,8 +323,7 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
         let before = ValuePool::mem_footprint();
         let mut rng = StdRng::seed_from_u64(0x9E1C);
         let mut live: Vec<usize> = Vec::new();
-        let (mut done, mut src, mut batches) = (0usize, 0usize, 0usize);
-        let mut snap_us = Vec::new();
+        let (mut done, mut src) = (0usize, 0usize);
         let start = Instant::now();
         while done < ops_budget {
             let mut slots = engine.row_count();
@@ -355,16 +349,6 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
                 // Compaction renumbered the slots: refresh the id cache.
                 live = engine.table().iter_live().collect();
             }
-            batches += 1;
-            if reclaim && batches % 64 == 0 {
-                // Mid-ingest snapshot: time the capture, then drop it at
-                // once so the pin never defers the next sweep.
-                let t = Instant::now();
-                let snap = engine.snapshot();
-                snap_us.push(t.elapsed().as_secs_f64() * 1e6);
-                black_box(snap.epoch());
-                drop(snap);
-            }
         }
         let secs = start.elapsed().as_secs_f64();
         // Final barrier: sweep whatever the last partial epoch queued,
@@ -389,7 +373,6 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
             live_rows: engine.live_rows(),
             live_string_bytes,
             swept: engine.reclaim_stats(),
-            snap_us,
         }
     };
     // Warm both legs untimed (quarter-size), then interleave best-of-3
@@ -415,9 +398,6 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
     let ratio = reclaim.string_bytes_added as f64 / reclaim.live_string_bytes.max(1) as f64;
     let raw_cost = (no_reclaim.ops_per_sec - reclaim.ops_per_sec) / no_reclaim.ops_per_sec * 100.0;
     let cost = raw_cost.max(0.0);
-    let captures = reclaim.snap_us.len();
-    let mean_us = reclaim.snap_us.iter().sum::<f64>() / captures.max(1) as f64;
-    let max_us = reclaim.snap_us.iter().fold(0.0f64, |a, &b| a.max(b));
     println!(
         "  no-reclaim : {:>9.0} ops/s; pool +{} string(s) / +{} B — grows with history \
          ({} live rows hold {} B of strings)",
@@ -439,11 +419,7 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
     );
     println!(
         "  sweep cost : raw {raw_cost:+.2}% ({cost:.2}% clamped; acceptance bound 5%; \
-         reclaim leg also pays refcounts + {captures} snapshot capture(s))"
-    );
-    println!(
-        "  snapshots  : {captures} capture(s) mid-ingest, mean {mean_us:.0} µs, \
-         max {max_us:.0} µs — chunk-handle clones, O(mutated chunks), not O(rows)"
+         reclaim leg also pays refcounts)"
     );
     format!(
         "{{\n    \"ops\": {total_ops},\n    \"insert_fraction\": 0.6,\n    \
@@ -453,15 +429,11 @@ fn reclaim_churn_artifact(data: &Dataset, rules: &[Pfd], total_ops: usize) -> St
          \"pool_string_bytes_added\": {}, \"live_rows\": {}, \"live_string_bytes\": {}, \
          \"swept_strings\": {}, \"swept_bytes\": {}, \"pool_bytes_over_live\": {ratio:.3} }},\n    \
          \"sweep_cost_pct\": {cost:.3},\n    \"sweep_cost_raw_pct\": {raw_cost:.3},\n    \
-         \"snapshot\": {{ \"captures\": {captures}, \"mean_us\": {mean_us:.1}, \
-         \"max_us\": {max_us:.1} }},\n    \
          \"claim\": \"every insert mints a fresh high-cardinality string; without \
          reclamation the pool keeps one stranded string per dead insert forever (growth \
          proportional to history), with --reclaim the epoch-tied sweep keeps pool string \
          bytes within 2x the bytes referenced by live rows, at <=5% throughput cost \
-         (interleaved best-of-3, reclaim leg additionally pays refcounts and mid-ingest \
-         snapshot captures); capturing a copy-on-write snapshot during ingest costs \
-         microseconds, O(mutated chunks), never O(rows)\"\n  }}",
+         (interleaved best-of-3, reclaim leg additionally pays refcounts)\"\n  }}",
         no_reclaim.ops_per_sec,
         no_reclaim.strings_added,
         no_reclaim.string_bytes_added,

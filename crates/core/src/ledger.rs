@@ -32,7 +32,6 @@ use anmat_obs as obs;
 use anmat_table::RowIdRemap;
 use fxhash::FxHashMap;
 use std::collections::hash_map::Entry;
-use std::sync::Arc;
 
 /// What happened to a violation's liveness.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,46 +77,16 @@ impl LedgerEvent {
 
 /// The set of currently live violations, keyed structurally, with
 /// reference counts and lifetime counters.
-///
-/// The live map sits behind an [`Arc`], so [`ViolationLedger::freeze`]
-/// captures a consistent snapshot in `O(1)`; the first mutation after a
-/// capture copies the map once (map-granular copy-on-write) and every
-/// further mutation is back to in-place cost.
 #[derive(Debug, Default, Clone)]
 pub struct ViolationLedger {
     /// Violation → refcount. Keys are boxed so an entry stays 16 bytes
     /// whatever the violation's size, and probed through `&Violation`.
-    live: Arc<FxHashMap<Box<Violation>, usize>>,
+    live: FxHashMap<Box<Violation>, usize>,
     created_total: usize,
     retracted_total: usize,
     /// Compaction epoch stamped onto emitted events; follows the backing
     /// table's epoch via [`ViolationLedger::remap`].
     epoch: u64,
-}
-
-/// A frozen, read-only view of a [`ViolationLedger`] captured by
-/// [`ViolationLedger::freeze`] — shares the live map with the ledger
-/// until the ledger next mutates. Derefs to [`ViolationLedger`], so the
-/// whole read API (`live`, `snapshot`, counters) works on it.
-#[derive(Debug, Clone)]
-pub struct LedgerSnapshot {
-    inner: ViolationLedger,
-}
-
-impl LedgerSnapshot {
-    /// The frozen view, as a `&ViolationLedger`.
-    #[must_use]
-    pub fn ledger(&self) -> &ViolationLedger {
-        &self.inner
-    }
-}
-
-impl std::ops::Deref for LedgerSnapshot {
-    type Target = ViolationLedger;
-
-    fn deref(&self) -> &ViolationLedger {
-        &self.inner
-    }
 }
 
 impl ViolationLedger {
@@ -127,31 +96,11 @@ impl ViolationLedger {
         ViolationLedger::default()
     }
 
-    /// Capture a copy-on-write snapshot: `O(1)` — the handle shares the
-    /// live map until this ledger next mutates (which pays one map
-    /// copy, counted as `snapshot.map_copies`).
-    #[must_use]
-    pub fn freeze(&self) -> LedgerSnapshot {
-        obs::counter!("snapshot.ledger_captures").incr();
-        LedgerSnapshot {
-            inner: self.clone(),
-        }
-    }
-
-    /// The live map, for mutation — copies it first if a snapshot still
-    /// shares it.
-    fn live_mut(&mut self) -> &mut FxHashMap<Box<Violation>, usize> {
-        if Arc::strong_count(&self.live) > 1 {
-            obs::counter!("snapshot.map_copies").incr();
-        }
-        Arc::make_mut(&mut self.live)
-    }
-
     /// Record a violation. Returns the `Created` event if it was not
     /// already live (otherwise only the reference count grows). Takes
     /// the violation boxed or unboxed; a box becomes the map key as is.
     pub fn create(&mut self, violation: impl Into<Box<Violation>>) -> Option<LedgerEvent> {
-        match self.live_mut().entry(violation.into()) {
+        match self.live.entry(violation.into()) {
             Entry::Occupied(mut entry) => {
                 *entry.get_mut() += 1;
                 None
@@ -173,16 +122,10 @@ impl ViolationLedger {
     /// reference is gone; `None` if other rules still imply it (or it was
     /// never live).
     pub fn retract(&mut self, violation: &Violation) -> Option<LedgerEvent> {
-        // Under a snapshot, peek first so a retract of a never-live
-        // violation doesn't force a COW copy.
-        if Arc::strong_count(&self.live) > 1 && !self.live.contains_key(violation) {
-            return None;
-        }
-        let live = self.live_mut();
-        let (retracted, refcount) = live.remove_entry(violation)?;
+        let (retracted, refcount) = self.live.remove_entry(violation)?;
         if refcount > 1 {
             // Another implier still holds it.
-            live.insert(retracted, refcount - 1);
+            self.live.insert(retracted, refcount - 1);
             return None;
         }
         self.retracted_total += 1;
@@ -212,12 +155,11 @@ impl ViolationLedger {
     /// nothing else, so distinct entries stay distinct.
     pub fn remap(&mut self, remap: &RowIdRemap) {
         self.epoch = remap.epoch();
-        let old = std::mem::take(self.live_mut());
-        let live = Arc::make_mut(&mut self.live);
-        live.reserve(old.len());
+        let old = std::mem::take(&mut self.live);
+        self.live.reserve(old.len());
         for (mut v, refcount) in old {
             v.remap(remap);
-            let prev = live.insert(v, refcount);
+            let prev = self.live.insert(v, refcount);
             debug_assert!(prev.is_none(), "remap is injective on live violations");
         }
     }
@@ -463,44 +405,6 @@ mod tests {
         // New creations are stamped with the adopted epoch too.
         let ev = ledger.create(violation(0, "X")).expect("fresh");
         assert_eq!(ev.epoch, 1);
-    }
-
-    #[test]
-    fn retracting_a_never_live_violation_under_a_freeze_copies_nothing() {
-        let mut ledger = ViolationLedger::new();
-        ledger.create(violation(1, "A"));
-        let snap = ledger.freeze();
-        assert!(ledger.retract(&violation(2, "A")).is_none());
-        assert!(ledger.retract(&violation(1, "B")).is_none());
-        // Still one shared map: the `snapshot.map_copies` path never ran.
-        assert!(Arc::ptr_eq(&ledger.live, &snap.live));
-        // A real retraction does copy, and only the live side moves.
-        assert!(ledger.retract(&violation(1, "A")).is_some());
-        assert!(!Arc::ptr_eq(&ledger.live, &snap.live));
-        assert_eq!(snap.live_count(), 1);
-    }
-
-    #[test]
-    fn freeze_is_isolated_from_later_mutation() {
-        let mut ledger = ViolationLedger::new();
-        ledger.create(violation(1, "A"));
-        let snap = ledger.freeze();
-        assert_eq!(snap.live_count(), 1);
-        // Mutate the live ledger every way it can move: create, retract,
-        // remap. The frozen view must not see any of it.
-        ledger.create(violation(3, "B"));
-        ledger.retract(&violation(1, "A"));
-        ledger.remap(&sample_remap());
-        assert_eq!(snap.live_count(), 1);
-        assert_eq!(snap.ledger().snapshot()[0].row, 1);
-        assert_eq!(snap.epoch(), 0);
-        assert_eq!(snap.created_total(), 1);
-        assert_eq!(snap.retracted_total(), 0);
-        // The live ledger moved on.
-        assert_eq!(ledger.live_count(), 1);
-        assert_eq!(ledger.epoch(), 1);
-        assert_eq!(ledger.snapshot()[0].row, 1, "old row 3 compacts to 1");
-        assert_eq!(ledger.retracted_total(), 1);
     }
 
     /// Violations over a small space, so that `(row, dependency)` ties

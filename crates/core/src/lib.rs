@@ -77,7 +77,7 @@ pub use detect::{
     Violation, ViolationKind,
 };
 pub use discovery::{discover, discover_pair, ContextStyle, DiscoveryConfig};
-pub use ledger::{LedgerChange, LedgerEvent, LedgerSnapshot, ViolationLedger};
+pub use ledger::{LedgerChange, LedgerEvent, ViolationLedger};
 pub use pfd::{LhsCell, PatternTuple, Pfd, PfdKind, RhsCell};
 
 /// Convenient glob-import surface.
@@ -88,7 +88,7 @@ pub mod prelude {
         Violation, ViolationKind,
     };
     pub use crate::discovery::{discover, discover_pair, ContextStyle, DiscoveryConfig};
-    pub use crate::ledger::{LedgerChange, LedgerEvent, LedgerSnapshot, ViolationLedger};
+    pub use crate::ledger::{LedgerChange, LedgerEvent, ViolationLedger};
     pub use crate::pfd::{LhsCell, PatternTuple, Pfd, PfdKind, RhsCell};
     pub use crate::report;
     pub use crate::store::{DatasetRecord, RuleStatus, RuleStore, StoredRule};

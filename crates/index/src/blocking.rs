@@ -17,6 +17,7 @@
 //! and every map in this module hashes a 4-byte id instead of a string.
 
 use crate::inverted::{sort_rhs_counts, EntryStats};
+use anmat_obs as obs;
 use anmat_pattern::{CompiledConstrained, ConstrainedPattern};
 use anmat_table::{RowId, RowIdRemap, Table, ValueId, ValuePool};
 use fxhash::FxHashMap;
@@ -396,7 +397,9 @@ impl BlockingPartition {
     /// inverse of [`BlockingPartition::insert`], same `Placement` answer.
     /// Cost is `O(affected block)`; empty blocks are dropped so
     /// [`BlockingPartition::freeze`] keeps agreeing with batch blocking.
+    /// Each call counts one `index.remove`.
     pub fn remove(&mut self, row: RowId, lhs: ValueId) -> Placement {
+        obs::counter!("index.remove").incr();
         if lhs.is_null() {
             remove_sorted(&mut self.null_rows, row);
             return Placement::NullLhs;

@@ -17,10 +17,9 @@
 
 use anmat_obs as obs;
 use anmat_table::{
-    for_each_ngram, for_each_prefix, for_each_token, RowId, RowIdRemap, Table, ValueId, ValuePool,
+    for_each_ngram, for_each_prefix, for_each_token, RowId, Table, ValueId, ValuePool,
 };
 use fxhash::FxHashMap;
-use std::sync::Arc;
 
 /// How LHS/RHS strings are decomposed into inverted-list keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,16 +131,12 @@ pub(crate) fn sort_rhs_counts(rhs_counts: &mut [(ValueId, usize)]) {
 
 /// The inverted list for one candidate dependency `A → B`.
 ///
-/// The index is *incrementally updatable*: [`InvertedIndex::insert_row`]
+/// The index is *incrementally built*: [`InvertedIndex::insert_row`]
 /// appends one row in `O(keys in the row)`, maintaining per-key
 /// [`EntryStats`] deltas alongside the raw postings. Batch discovery
-/// builds through the same insert path, and the incremental API is what
-/// an online (re-)discovery pass over an append stream would sit on —
-/// today's `StreamEngine` detection path uses its sibling,
-/// [`BlockingPartition`](crate::BlockingPartition).
-/// The three maps sit behind [`Arc`]s so [`InvertedIndex::freeze`]
-/// captures a consistent snapshot in `O(1)`; the first mutation after a
-/// capture copies each touched map once (map-granular copy-on-write).
+/// builds through that insert path and never removes a row; the
+/// `StreamEngine` detection path mutates its sibling,
+/// [`BlockingPartition`](crate::BlockingPartition), instead.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     /// LHS decomposition mode (kept so inserts match the build mode).
@@ -149,52 +144,17 @@ pub struct InvertedIndex {
     /// RHS decomposition mode.
     rhs_mode: ExtractionMode,
     /// Key → postings (one per (row, lhs occurrence, rhs token)).
-    entries: Arc<FxHashMap<ValueId, Vec<Posting>>>,
+    entries: FxHashMap<ValueId, Vec<Posting>>,
     /// Key → distinct rows containing it (deduplicated, sorted).
-    rows_by_key: Arc<FxHashMap<ValueId, Vec<RowId>>>,
+    rows_by_key: FxHashMap<ValueId, Vec<RowId>>,
     /// Key → full-RHS-value → distinct-row count, maintained per insert
     /// (the Δ behind [`InvertedIndex::stats`]).
-    rhs_counts_by_key: Arc<FxHashMap<ValueId, FxHashMap<ValueId, usize>>>,
+    rhs_counts_by_key: FxHashMap<ValueId, FxHashMap<ValueId, usize>>,
     /// Scratch buffer for the RHS keys of the row being inserted (reused
     /// across inserts so the hot path performs no allocation once warm).
     rhs_scratch: Vec<(ValueId, usize)>,
     /// Number of rows with non-null values on both sides.
     pub considered_rows: usize,
-}
-
-/// A frozen, read-only view of an [`InvertedIndex`] captured by
-/// [`InvertedIndex::freeze`] — shares the postings/rows/stats maps with
-/// the live index until it next mutates. Derefs to [`InvertedIndex`],
-/// so the whole read API (`postings`, `rows`, `stats`, `iter_stats`)
-/// works on it.
-#[derive(Debug, Clone)]
-pub struct IndexSnapshot {
-    inner: InvertedIndex,
-}
-
-impl IndexSnapshot {
-    /// The frozen view, as an `&InvertedIndex`.
-    #[must_use]
-    pub fn index(&self) -> &InvertedIndex {
-        &self.inner
-    }
-}
-
-impl std::ops::Deref for IndexSnapshot {
-    type Target = InvertedIndex;
-
-    fn deref(&self) -> &InvertedIndex {
-        &self.inner
-    }
-}
-
-/// `Arc::make_mut` with the `snapshot.map_copies` counter: copies the
-/// map first when a snapshot still shares it.
-fn map_mut<M: Clone>(map: &mut Arc<M>) -> &mut M {
-    if Arc::strong_count(map) > 1 {
-        obs::counter!("snapshot.map_copies").incr();
-    }
-    Arc::make_mut(map)
 }
 
 impl InvertedIndex {
@@ -204,22 +164,11 @@ impl InvertedIndex {
         InvertedIndex {
             lhs_mode,
             rhs_mode,
-            entries: Arc::new(FxHashMap::default()),
-            rows_by_key: Arc::new(FxHashMap::default()),
-            rhs_counts_by_key: Arc::new(FxHashMap::default()),
+            entries: FxHashMap::default(),
+            rows_by_key: FxHashMap::default(),
+            rhs_counts_by_key: FxHashMap::default(),
             rhs_scratch: Vec::new(),
             considered_rows: 0,
-        }
-    }
-
-    /// Capture a copy-on-write snapshot: `O(1)` — the handle shares all
-    /// three maps until this index next mutates (the first mutation then
-    /// pays one copy per touched map, counted as `snapshot.map_copies`).
-    #[must_use]
-    pub fn freeze(&self) -> IndexSnapshot {
-        obs::counter!("snapshot.index_captures").incr();
-        IndexSnapshot {
-            inner: self.clone(),
         }
     }
 
@@ -258,7 +207,7 @@ impl InvertedIndex {
         let lhs_mode = self.lhs_mode;
         lhs_mode.for_each_key(lhs, |key, lhs_pos| {
             let key = ValuePool::intern(key);
-            let postings = map_mut(&mut self.entries).entry(key).or_default();
+            let postings = self.entries.entry(key).or_default();
             for &(rhs_token, rhs_pos) in &rhs_keys {
                 postings.push(Posting {
                     row,
@@ -278,12 +227,13 @@ impl InvertedIndex {
                     rhs_full,
                 });
             }
-            let rows = map_mut(&mut self.rows_by_key).entry(key).or_default();
+            let rows = self.rows_by_key.entry(key).or_default();
             if rows.last() != Some(&row) {
                 rows.push(row);
                 // First sighting of this key in this row: one delta to
                 // the key's RHS distribution.
-                *map_mut(&mut self.rhs_counts_by_key)
+                *self
+                    .rhs_counts_by_key
                     .entry(key)
                     .or_default()
                     .entry(rhs_full)
@@ -291,98 +241,6 @@ impl InvertedIndex {
             }
         });
         self.rhs_scratch = rhs_keys;
-    }
-
-    /// Remove one row's `(lhs, rhs)` cell pair — the exact inverse of
-    /// [`InvertedIndex::insert_row`]. The caller passes the same strings
-    /// the row was inserted under (a tombstoning table still holds
-    /// them). Per-key [`EntryStats`] shrink by exactly the deltas the
-    /// insert added (support −1, the row's full-RHS count −1), postings
-    /// for the row are dropped, and keys left with no rows disappear
-    /// entirely, so the index is indistinguishable from one built
-    /// without the row. Cost is `O(keys in the row)` hash probes plus
-    /// the shift cost of the removed list entries (postings are
-    /// row-sorted, so the row's range is binary-searched, not scanned).
-    ///
-    /// Like [`InvertedIndex::insert_row`], this is the maintenance hook
-    /// for *online re-discovery* over a mutating stream; the detection
-    /// engine itself mutates its sibling,
-    /// [`BlockingPartition`](crate::BlockingPartition).
-    pub fn remove_row(&mut self, row: RowId, lhs: &str, rhs: &str) {
-        self.considered_rows -= 1;
-        obs::counter!("index.remove").incr();
-        let rhs_full = ValuePool::lookup(rhs);
-        let lhs_mode = self.lhs_mode;
-        lhs_mode.for_each_key(lhs, |key, _| {
-            let Some(key) = ValuePool::lookup(key) else {
-                return;
-            };
-            let rows_map = map_mut(&mut self.rows_by_key);
-            let Some(rows) = rows_map.get_mut(&key) else {
-                return;
-            };
-            // Gate every delta on the distinct-rows list, exactly like
-            // the insert path: a key occurring twice in `lhs` undoes its
-            // deltas once.
-            let Ok(pos) = rows.binary_search(&row) else {
-                return;
-            };
-            rows.remove(pos);
-            if rows.is_empty() {
-                rows_map.remove(&key);
-            }
-            if let Some(rhs_full) = rhs_full {
-                let counts_map = map_mut(&mut self.rhs_counts_by_key);
-                if let Some(counts) = counts_map.get_mut(&key) {
-                    if let Some(c) = counts.get_mut(&rhs_full) {
-                        *c -= 1;
-                        if *c == 0 {
-                            counts.remove(&rhs_full);
-                        }
-                    }
-                    if counts.is_empty() {
-                        counts_map.remove(&key);
-                    }
-                }
-            }
-            let entries = map_mut(&mut self.entries);
-            if let Some(postings) = entries.get_mut(&key) {
-                // Postings are appended in nondecreasing row order, so
-                // the row's entries form one contiguous run.
-                let start = postings.partition_point(|p| p.row < row);
-                let end = postings.partition_point(|p| p.row <= row);
-                postings.drain(start..end);
-                if postings.is_empty() {
-                    entries.remove(&key);
-                }
-            }
-        });
-    }
-
-    /// Apply a compaction [`RowIdRemap`] in place — the index's side of
-    /// the remap protocol.
-    ///
-    /// Every posting's `row` and every per-key distinct-row list is
-    /// rewritten through the remap; because the remap is monotone, the
-    /// lists stay sorted without re-sorting. Nothing else moves: per-key
-    /// RHS distributions, supports, and `considered_rows` are counts
-    /// over the same surviving rows, so no statistic is re-derived and
-    /// no pattern/tokenization work is repeated. Cost is `O(postings)`
-    /// pointer-chasing, zero hashing.
-    ///
-    /// The protocol's precondition holds here as everywhere: deleted
-    /// rows were already removed via [`InvertedIndex::remove_row`], so
-    /// every id the index holds is live and maps to `Some` (a dead id
-    /// panics — it means a maintenance bug, not a remap problem).
-    pub fn apply_remap(&mut self, remap: &RowIdRemap) {
-        for postings in map_mut(&mut self.entries).values_mut() {
-            for p in postings {
-                p.row = remap.live_id(p.row);
-            }
-        }
-        for rows in map_mut(&mut self.rows_by_key).values_mut() {
-            remap.remap_sorted_in_place(rows);
-        }
     }
 
     /// Number of distinct keys.
@@ -648,142 +506,6 @@ mod tests {
         b.insert_row(1, "key", "zzz-tie");
         assert_eq!(b.stats("key").dominant_rhs(), Some("aaa-tie"));
         assert_eq!(a.stats("key").rhs_counts, b.stats("key").rhs_counts);
-    }
-
-    #[test]
-    fn remove_row_is_exact_inverse_of_insert() {
-        let t = name_gender_table();
-        // Insert all four rows, remove row 3: stats must equal an index
-        // built from rows 0–2 alone — exact EntryStats decrement deltas.
-        let mut idx = InvertedIndex::empty(ExtractionMode::Tokens, ExtractionMode::Tokens);
-        for (row, a, b) in t.iter_pair(0, 1) {
-            idx.insert_row(row, a, b);
-        }
-        idx.remove_row(3, "Susan Boyle", "M");
-        let expected = {
-            let mut i = InvertedIndex::empty(ExtractionMode::Tokens, ExtractionMode::Tokens);
-            for (row, a, b) in t.iter_pair(0, 1).take(3) {
-                i.insert_row(row, a, b);
-            }
-            i
-        };
-        assert_eq!(idx.considered_rows, expected.considered_rows);
-        assert_eq!(idx.key_count(), expected.key_count());
-        for (key, stats) in expected.iter_stats() {
-            assert_eq!(idx.stats(key), stats, "stats diverge for key {key:?}");
-            assert_eq!(idx.rows(key), expected.rows(key));
-            assert_eq!(idx.postings(key).len(), expected.postings(key).len());
-        }
-        // The Susan entry lost its violation with the erroneous row gone.
-        assert_eq!(idx.stats("Susan").support, 1);
-        assert_eq!(idx.stats("Susan").violations(), 0);
-    }
-
-    #[test]
-    fn remove_last_row_of_a_key_drops_the_key() {
-        let mut idx = InvertedIndex::empty(ExtractionMode::Tokens, ExtractionMode::Tokens);
-        idx.insert_row(0, "solo", "X");
-        idx.insert_row(1, "other", "Y");
-        idx.remove_row(0, "solo", "X");
-        assert_eq!(idx.key_count(), 1);
-        assert!(idx.rows("solo").is_empty());
-        assert!(idx.postings("solo").is_empty());
-        assert_eq!(idx.stats("solo").support, 0);
-        assert_eq!(idx.considered_rows, 1);
-    }
-
-    #[test]
-    fn remove_multi_occurrence_key_undoes_deltas_once() {
-        let mut idx = InvertedIndex::empty(ExtractionMode::Tokens, ExtractionMode::Tokens);
-        idx.insert_row(0, "x x x", "1");
-        idx.insert_row(1, "x", "1");
-        idx.remove_row(0, "x x x", "1");
-        let s = idx.stats("x");
-        assert_eq!(s.support, 1);
-        assert_eq!(s.rhs_counts, vec![(anmat_table::ValuePool::intern("1"), 1)]);
-        assert_eq!(idx.postings("x").len(), 1);
-    }
-
-    #[test]
-    fn churn_keeps_stats_consistent() {
-        // Insert/remove interleaving over one key: dominant RHS tracks
-        // the surviving rows at every step.
-        let mut idx = InvertedIndex::empty(ExtractionMode::Tokens, ExtractionMode::Tokens);
-        for row in 0..50 {
-            idx.insert_row(row, "John Smith", if row % 2 == 0 { "M" } else { "F" });
-        }
-        for row in (0..50).filter(|r| r % 2 == 1) {
-            idx.remove_row(row, "John Smith", "F");
-        }
-        let s = idx.stats("John");
-        assert_eq!(s.support, 25);
-        assert_eq!(s.dominant_rhs(), Some("M"));
-        assert_eq!(s.violations(), 0);
-        assert_eq!(idx.considered_rows, 25);
-    }
-
-    /// The remap protocol: remove deleted rows, compact, remap — the
-    /// index must equal one built from the compacted table, stats
-    /// included, with no stat re-derivation (the counts are untouched).
-    #[test]
-    fn apply_remap_matches_index_over_compacted_table() {
-        let schema = Schema::new(["name", "gender"]).unwrap();
-        let mut t = Table::from_str_rows(
-            schema,
-            [
-                ["John Charles", "M"],
-                ["John Bosco", "M"],
-                ["Susan Orlean", "F"],
-                ["Susan Boyle", "M"],
-                ["John Doe", "M"],
-            ],
-        )
-        .unwrap();
-        let mut idx = InvertedIndex::empty(ExtractionMode::Tokens, ExtractionMode::Tokens);
-        for (row, a, b) in t.iter_pair(0, 1) {
-            idx.insert_row(row, a, b);
-        }
-        idx.remove_row(1, "John Bosco", "M");
-        idx.remove_row(2, "Susan Orlean", "F");
-        t.delete_row(1).unwrap();
-        t.delete_row(2).unwrap();
-        let remap = t.compact();
-        idx.apply_remap(&remap);
-
-        let expected =
-            InvertedIndex::build(&t, 0, 1, ExtractionMode::Tokens, ExtractionMode::Tokens);
-        assert_eq!(idx.considered_rows, expected.considered_rows);
-        assert_eq!(idx.key_count(), expected.key_count());
-        for (key, stats) in expected.iter_stats() {
-            assert_eq!(idx.stats(key), stats, "stats diverge for key {key:?}");
-            assert_eq!(
-                idx.rows(key),
-                expected.rows(key),
-                "rows diverge for {key:?}"
-            );
-            assert_eq!(idx.postings(key), expected.postings(key));
-        }
-    }
-
-    #[test]
-    fn freeze_is_isolated_from_later_mutation() {
-        let t = name_gender_table();
-        let mut idx =
-            InvertedIndex::build(&t, 0, 1, ExtractionMode::Tokens, ExtractionMode::Tokens);
-        let snap = idx.freeze();
-        // Mutate the live index every way it can move: insert, remove.
-        idx.insert_row(4, "Susan Sontag", "F");
-        idx.remove_row(0, "John Charles", "M");
-        // The frozen view still answers as of capture time.
-        assert_eq!(snap.considered_rows, 4);
-        assert_eq!(snap.rows("John"), &[0, 1]);
-        assert_eq!(snap.index().stats("Susan").support, 2);
-        assert_eq!(snap.stats("Susan").violations(), 1);
-        assert!(snap.rows("Sontag").is_empty());
-        // The live index moved on.
-        assert_eq!(idx.rows("John"), &[1]);
-        assert_eq!(idx.stats("Susan").support, 3);
-        assert_eq!(idx.rows("Sontag"), &[4]);
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! [`trie`] provides the character trie the pattern index uses to
 //! accelerate literal-prefix lookups.
 //!
-//! The inverted list and blocking structures are *incrementally
-//! updatable in both directions* — mutable streams, not just appends:
-//! [`InvertedIndex::insert_row`] / [`InvertedIndex::remove_row`] apply
-//! one row's deltas in `O(keys per row)` with exact per-key
-//! [`EntryStats`] increments and decrements (the hook for online
-//! re-discovery), and [`BlockingPartition::insert`] /
+//! Both the inverted list and the blocking structures are built
+//! incrementally: [`InvertedIndex::insert_row`] applies one row's
+//! deltas in `O(keys per row)` with exact per-key [`EntryStats`]
+//! increments (discovery only builds and inserts). The blocking
+//! partition is also updatable in the other direction — mutable
+//! streams, not just appends: [`BlockingPartition::insert`] /
 //! [`BlockingPartition::remove`] touch exactly the affected block, with
 //! an `O(1)` majority update per insert and a majority re-derivation
 //! only when a removal dethrones the leader — the substrate of the
@@ -44,6 +44,6 @@ pub mod pattern_index;
 pub mod trie;
 
 pub use blocking::{BlockingIndex, BlockingPartition, Blocks, KeyBlock, Placement};
-pub use inverted::{EntryStats, ExtractionMode, IndexSnapshot, InvertedIndex, Posting};
+pub use inverted::{EntryStats, ExtractionMode, InvertedIndex, Posting};
 pub use pattern_index::PatternIndex;
 pub use trie::CharTrie;

@@ -40,7 +40,7 @@
 //!
 //! Metric names are dot-separated families, one per layer: `ingest.*`,
 //! `pool.*`, `table.*`, `pattern.*`, `memo.*`, `index.*`, `engine.*`,
-//! `ledger.*`, `snapshot.*`, and the CLI's own `cli.*`. A name maps to
+//! `ledger.*`, and the CLI's own `cli.*`. A name maps to
 //! exactly one metric kind; re-registering under a different kind
 //! panics.
 //!

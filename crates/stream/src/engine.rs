@@ -30,18 +30,15 @@ use crate::drift::{DriftMonitor, DriftReport, RuleHealth};
 use anmat_core::detect::constant::violation_at;
 use anmat_core::detect::variable::{flag_block_minority, minority_violation, MAX_WITNESSES};
 use anmat_core::discovery::DiscoveryConfig;
-use anmat_core::{
-    LedgerEvent, LedgerSnapshot, LhsCell, Pfd, RhsCell, Violation, ViolationKind, ViolationLedger,
-};
+use anmat_core::{LedgerEvent, LhsCell, Pfd, RhsCell, Violation, ViolationKind, ViolationLedger};
 use anmat_index::{BlockingPartition, KeyBlock, Placement};
 use anmat_obs as obs;
 use anmat_pattern::{CompiledPattern, MatchMemo};
 use anmat_table::{
-    ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, TableSnapshot, Value,
-    ValueId, ValuePool,
+    ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table, TableError, Value, ValueId, ValuePool,
 };
 use fxhash::{FxHashMap, FxHashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
 /// Engine thresholds (the drift monitor's discovery-style knobs) plus
 /// the compaction and reclamation modes.
@@ -63,9 +60,7 @@ pub struct StreamConfig {
     /// at the end of every compaction barrier, frees interned strings no
     /// longer referenced by any live cell, blocking key, memo, or rule
     /// state. `false` (the default) keeps the classic append-only pool
-    /// behaviour — nothing is ever freed. Reclamation is deferred (never
-    /// skipped) while an [`EngineSnapshot`] is alive, since snapshots
-    /// resolve ids against the shared pool. Opting in asserts that no
+    /// behaviour — nothing is ever freed. Opting in asserts that no
     /// other pool user in the process resolves a string after this
     /// engine's rows stop referencing it (see the safety contract of
     /// [`ValuePool::reclaim`]).
@@ -163,9 +158,23 @@ impl DeltaSink {
 /// guarantee [`StreamEngine::apply`] gives: a malformed op-log leaves
 /// the engine untouched. A failure is a [`TableError::InvalidOp`]
 /// naming the offending op's index in `ops`.
+///
+/// `O(ops)`, whatever the table's size: the simulation is the table
+/// itself, the running slot count (slots the batch inserted are live)
+/// and the set of slots the batch deleted. That set keeps the default
+/// hasher, since its row ids come from an op-log.
 fn validate_ops(table: &Table, ops: &[RowOp]) -> Result<(), TableError> {
     let arity = table.schema().arity();
-    let mut live: Vec<bool> = (0..table.row_count()).map(|r| table.is_live(r)).collect();
+    let base = table.row_count();
+    let mut slots = base;
+    let mut deleted: HashSet<RowId> = HashSet::new();
+    let live_ignoring_deletes = |row: RowId, slots: usize| {
+        if row < base {
+            table.is_live(row)
+        } else {
+            row < slots
+        }
+    };
     for (index, op) in ops.iter().enumerate() {
         let invalid = |error| TableError::InvalidOp {
             op: index,
@@ -175,18 +184,17 @@ fn validate_ops(table: &Table, ops: &[RowOp]) -> Result<(), TableError> {
             RowOp::Insert(cells) => {
                 if cells.len() != arity {
                     return Err(invalid(TableError::ArityMismatch {
-                        row: live.len(),
+                        row: slots,
                         found: cells.len(),
                         expected: arity,
                     }));
                 }
-                live.push(true);
+                slots += 1;
             }
             RowOp::Delete(row) => {
-                if !live.get(*row).copied().unwrap_or(false) {
+                if !live_ignoring_deletes(*row, slots) || !deleted.insert(*row) {
                     return Err(invalid(TableError::NoSuchRow { row: *row }));
                 }
-                live[*row] = false;
             }
             RowOp::Update(row, cells) => {
                 if cells.len() != arity {
@@ -196,7 +204,7 @@ fn validate_ops(table: &Table, ops: &[RowOp]) -> Result<(), TableError> {
                         expected: arity,
                     }));
                 }
-                if !live.get(*row).copied().unwrap_or(false) {
+                if !live_ignoring_deletes(*row, slots) || deleted.contains(row) {
                     return Err(invalid(TableError::NoSuchRow { row: *row }));
                 }
             }
@@ -758,49 +766,6 @@ impl RuleState {
     }
 }
 
-/// A consistent copy-on-write view of a stream engine's observable
-/// state, frozen at a batch boundary (see [`StreamEngine::snapshot`]).
-///
-/// The table view shares storage chunks with the live engine (copied
-/// lazily, per chunk, on the engine's next write — never by the reader)
-/// and the ledger view shares its live-violation map the same way, so
-/// drift analysis, `detect_all` cross-checks, and serde checkpoints can
-/// read a stable state while ingest continues on the live engine.
-///
-/// Holding a snapshot *pins string reclamation*: sweeps on the source
-/// engine defer until every snapshot from it is dropped, so ids resolve
-/// for the snapshot's whole lifetime. Compaction itself still runs —
-/// the snapshot keeps pre-compaction coordinates, which is why it
-/// carries the [`epoch`](EngineSnapshot::epoch) it was taken in.
-#[derive(Debug)]
-pub struct EngineSnapshot {
-    table: TableSnapshot,
-    ledger: LedgerSnapshot,
-    epoch: u64,
-    _pin: Arc<()>,
-}
-
-impl EngineSnapshot {
-    /// The frozen table view.
-    #[must_use]
-    pub fn table(&self) -> &Table {
-        self.table.table()
-    }
-
-    /// The frozen violation ledger.
-    #[must_use]
-    pub fn ledger(&self) -> &ViolationLedger {
-        self.ledger.ledger()
-    }
-
-    /// The compaction epoch the snapshot was taken in — its `RowId`s
-    /// are coordinates of this epoch.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
 /// The incremental PFD violation engine (see the crate docs).
 #[derive(Debug)]
 pub struct StreamEngine {
@@ -815,10 +780,6 @@ pub struct StreamEngine {
     reclaim: bool,
     /// Lifetime pool reclamation by this engine's sweeps.
     reclaim_stats: ReclaimStats,
-    /// Snapshot pin: every live [`EngineSnapshot`] clones this `Arc`, so
-    /// `strong_count > 1` ⇔ a snapshot may still resolve ids — sweeps
-    /// defer (candidates stay queued in the table) until it drops.
-    snap_pin: Arc<()>,
 }
 
 impl StreamEngine {
@@ -853,7 +814,6 @@ impl StreamEngine {
             compaction: CompactionStats::default(),
             reclaim: config.reclaim,
             reclaim_stats: ReclaimStats::default(),
-            snap_pin: Arc::new(()),
         }
     }
 
@@ -902,15 +862,9 @@ impl StreamEngine {
     ///
     /// Survivors are purged from every memo/key cache *before*
     /// [`ValuePool::reclaim`] queues them for recycling, so no cache can
-    /// answer for a recycled id. While an [`EngineSnapshot`] is alive
-    /// the whole sweep defers — candidates simply stay queued in the
-    /// table for the next barrier.
+    /// answer for a recycled id.
     fn sweep_reclaimable(&mut self) {
         if !self.reclaim {
-            return;
-        }
-        if Arc::strong_count(&self.snap_pin) > 1 {
-            obs::counter!("pool.sweeps_deferred").incr();
             return;
         }
         let candidates = self.table.take_reclaim_candidates();
@@ -937,10 +891,9 @@ impl StreamEngine {
         // tombstones), rule state's own ids are protected, and the memo
         // and key caches were just purged of them — so nothing in this
         // engine resolves them again, and the ledger's violations hold
-        // owned strings, never pool borrows. No snapshot is alive
-        // (checked above), and `reclaim: true` engines own a value space
-        // disjoint from other pool users (the `StreamConfig::reclaim`
-        // contract).
+        // owned strings, never pool borrows. `reclaim: true` engines own
+        // a value space disjoint from other pool users (the
+        // `StreamConfig::reclaim` contract).
         let stats = unsafe { ValuePool::reclaim(doomed) };
         self.reclaim_stats.strings += stats.strings;
         self.reclaim_stats.bytes += stats.bytes;
@@ -950,26 +903,6 @@ impl StreamEngine {
     #[must_use]
     pub fn reclaim_stats(&self) -> ReclaimStats {
         self.reclaim_stats
-    }
-
-    /// Freeze a consistent copy-on-write view of the engine's observable
-    /// state — table and ledger — that stays valid while ingest
-    /// continues. Capture is `O(chunks + live violations)` handle
-    /// clones (no cell is copied); subsequent engine mutations pay one
-    /// chunk copy per first-touched chunk (`snapshot.cow_copies`).
-    ///
-    /// While the snapshot is alive, reclamation sweeps defer (the
-    /// snapshot resolves ids against the shared pool), so every id it
-    /// holds stays resolvable for its whole lifetime.
-    #[must_use]
-    pub fn snapshot(&self) -> EngineSnapshot {
-        obs::counter!("snapshot.engine_captures").incr();
-        EngineSnapshot {
-            table: self.table.snapshot(),
-            ledger: self.ledger.freeze(),
-            epoch: self.table.epoch(),
-            _pin: Arc::clone(&self.snap_pin),
-        }
     }
 
     /// Auto-compaction hook: runs at the end of tombstoning entry
@@ -1785,6 +1718,28 @@ mod tests {
             other => panic!("expected op 1 to be rejected, got {other:?}"),
         }
         assert_eq!(engine.live_rows(), 1);
+        // An update of a row deleted earlier in the same batch is
+        // rejected…
+        let update_deleted = vec![
+            RowOp::Delete(0),
+            RowOp::Update(0, vec![Value::text("90003"), Value::text("Los Angeles")]),
+        ];
+        match engine.apply(update_deleted) {
+            Err(TableError::InvalidOp { op: 1, error }) => {
+                assert!(matches!(*error, TableError::NoSuchRow { row: 0 }));
+            }
+            other => panic!("expected op 1 to be rejected, got {other:?}"),
+        }
+        assert_eq!(engine.live_rows(), 1);
+        // …while an update of a slot inserted earlier in the batch is
+        // accepted.
+        let update_inserted = vec![
+            RowOp::Insert(vec![Value::text("90004"), Value::text("Boston")]),
+            RowOp::Update(2, vec![Value::text("90004"), Value::text("Los Angeles")]),
+        ];
+        engine.apply(update_inserted).unwrap();
+        assert_eq!(engine.live_rows(), 2);
+        assert_eq!(engine.table().cell_str(2, 1), Some("Los Angeles"));
     }
 
     #[test]

@@ -54,8 +54,11 @@
 //!   strings no live row or rule state references any more, at the same
 //!   compaction barriers (`tests/reclamation.rs` pins that a reclaiming
 //!   engine is observably identical to a never-reclaiming twin).
-//!   [`StreamEngine::snapshot`] freezes a copy-on-write view of table
-//!   and ledger that stays valid while ingest continues.
+//!
+//! The engine keeps one state, the live one: [`StreamEngine::table`],
+//! [`StreamEngine::ledger`] and [`StreamEngine::epoch`] read it between
+//! calls (that is what `anmat stream --checkpoint` serializes), and
+//! there is no versioned or frozen view.
 //!
 //! # Example
 //!
@@ -91,7 +94,7 @@ pub mod drift;
 pub mod engine;
 
 pub use drift::{DriftMonitor, DriftReport, RuleHealth};
-pub use engine::{CompactionStats, EngineSnapshot, StreamConfig, StreamEngine};
+pub use engine::{CompactionStats, StreamConfig, StreamEngine};
 
 // Re-exported so downstream users of the engine's event stream don't need
 // a direct anmat-core dependency.

@@ -2,15 +2,12 @@
 //! sweeps the [`ValuePool`] at its compaction barriers must be
 //! indistinguishable — events, ledger, resolved table content, per-rule
 //! health, drift — from a never-reclaiming twin fed the identical op
-//! stream. And copy-on-write snapshots must stay frozen while ingest
-//! (and compaction, and deferred reclamation) continue underneath them.
+//! stream.
 //!
-//! The pool is process-global and refcounts are shared, so every test
+//! The pool is process-global and refcounts are shared, so every case
 //! works in its own string universe: cities and constant-rule RHS carry
-//! a `rcl`-seed tag, and each test function draws zips from a disjoint
-//! 3-digit prefix bank. An id this file frees is therefore never
-//! resolved by a concurrently-running test, and a leaked refcount from
-//! a dropped engine can never block another case's sweep. Tables are
+//! a `rcl`-seed tag, so a leaked refcount from an earlier case's
+//! dropped engine can never block a later case's sweep. Tables are
 //! compared by *resolved content* (strings, not raw ids): a string
 //! freed and later re-interned legitimately comes back under a recycled
 //! id, and id identity was never part of the observable contract.
@@ -198,9 +195,7 @@ fn run_script(config: StreamConfig, rules: Vec<Pfd>, script: &[Step]) -> (Observ
     (observed, engine.reclaim_stats().strings)
 }
 
-/// Zip prefixes for the twin property. Disjoint from the snapshot
-/// tests' banks so a sweep here never frees a zip a concurrently
-/// running (non-refcounting) engine still resolves.
+/// Zip prefixes for the twin property.
 const TWIN_PREFIXES: [&str; 5] = ["900", "104", "117", "235", "462"];
 
 fn reclaim_twin_case(tag: &str, seed: u64) {
@@ -239,65 +234,4 @@ proptest! {
     fn churn_with_reclamation_matches_never_reclaiming_twin(seed in 0u64..4096) {
         reclaim_twin_case(&format!("rclA{seed}"), seed);
     }
-}
-
-/// A snapshot taken mid-stream equals an eager deep copy taken at the
-/// same instant, no matter how much ingest, compaction, and (deferred)
-/// reclamation happen afterwards — and the deferral itself is visible:
-/// no string is freed while the snapshot lives, the queued candidates
-/// sweep at the first barrier after it drops.
-#[test]
-fn snapshot_stays_frozen_while_ingest_mutates() {
-    let tag = "rclB";
-    let prefixes = ["500", "514", "527", "535", "542"];
-    let script = churn_script(tag, prefixes, 7, 80);
-    let config = StreamConfig {
-        reclaim: true,
-        ..StreamConfig::default()
-    };
-    let mut engine = StreamEngine::with_config(schema(), rules(tag, prefixes), config);
-    let (head, tail) = script.split_at(script.len() / 2);
-    for step in head {
-        engine.apply(step.ops.clone()).expect("valid ops");
-        if step.compact {
-            engine.compact();
-        }
-    }
-
-    let snap = engine.snapshot();
-    let frozen_table = engine.table().clone();
-    let frozen_live = engine.ledger().snapshot();
-    let epoch_at_capture = engine.epoch();
-    let freed_at_capture = engine.reclaim_stats().strings;
-
-    for step in tail {
-        engine.apply(step.ops.clone()).expect("valid ops");
-        if step.compact {
-            engine.compact();
-        }
-    }
-    // Sweeps deferred while the snapshot pins the pool view…
-    assert_eq!(
-        engine.reclaim_stats().strings,
-        freed_at_capture,
-        "no string may be freed while a snapshot is alive"
-    );
-    // …and the frozen view is bit-for-bit the capture-time state.
-    assert_eq!(snap.table(), &frozen_table);
-    assert_eq!(snap.ledger().snapshot(), frozen_live);
-    assert_eq!(snap.epoch(), epoch_at_capture);
-    assert_ne!(
-        engine.table(),
-        &frozen_table,
-        "tail churn must actually have mutated the live table"
-    );
-
-    // Dropping the snapshot releases the pin; the queued candidates
-    // were preserved across the deferred barriers and sweep now.
-    drop(snap);
-    engine.compact();
-    assert!(
-        engine.reclaim_stats().strings > freed_at_capture,
-        "deferred candidates must sweep at the first unpinned barrier"
-    );
 }

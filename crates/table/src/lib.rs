@@ -22,7 +22,6 @@
 //!   interner ([`ValuePool`]) and the `Copy` cell handle ([`ValueId`])
 //!   every downstream index and engine keys on.
 
-pub mod cow;
 pub mod csv;
 pub mod error;
 pub mod pool;
@@ -32,14 +31,11 @@ pub mod table;
 pub mod tokenize;
 pub mod value;
 
-pub use cow::CowVec;
 pub use error::TableError;
 pub use pool::{PoolFootprint, ReclaimStats, ValueId, ValuePool};
 pub use profile::{ColumnProfile, InferredType, PatternHistogram, TableProfile};
 pub use schema::Schema;
-pub use table::{
-    parse_ops, MemFootprint, OpLog, RowId, RowIdRemap, RowOp, Table, TableBuilder, TableSnapshot,
-};
+pub use table::{parse_ops, MemFootprint, OpLog, RowId, RowIdRemap, RowOp, Table, TableBuilder};
 pub use tokenize::{
     for_each_ngram, for_each_prefix, for_each_token, ngrams, prefixes, tokenize, NGram, Token,
 };

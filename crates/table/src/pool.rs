@@ -679,8 +679,9 @@ impl ValuePool {
     ///
     /// The stream engine meets both with table-granular refcounts swept
     /// behind a compaction epoch barrier, explicit protection of rule
-    /// constants and live blocking keys, and a snapshot pin that defers
-    /// sweeps while a frozen view may still resolve ids.
+    /// constants and live blocking keys, and memo and key caches purged
+    /// of the doomed ids before the call. It keeps no frozen view of its
+    /// state, so nothing else of the engine can still resolve them.
     pub unsafe fn reclaim(candidates: impl IntoIterator<Item = (ValueId, u32)>) -> ReclaimStats {
         let mut map = map().write().expect("value pool poisoned");
         let mut rec = reclaimer().lock().expect("pool reclaimer poisoned");

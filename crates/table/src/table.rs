@@ -1,23 +1,14 @@
 //! Columnar in-memory tables, dictionary-encoded, with tombstoned
-//! mutation and copy-on-write snapshots.
+//! mutation.
 //!
-//! A column is a [`CowVec<ValueId>`] — 4 bytes per cell in 4096-cell
-//! `Arc`-shared chunks — dictionary-encoded against the process-global
-//! [`ValuePool`]. Ingest interns each cell once; every downstream
-//! consumer (indexes, discovery, detection, the stream engine) operates
-//! on `Copy` ids and pays string costs only per *distinct* value. The
-//! `Value`/`&str` views (`cell`, `cell_str`, `row`, `iter_pair`) are
-//! preserved at the API boundary for CSV ingest, reports and serde; id
-//! accessors (`cell_id`, `row_ids`) are the hot path.
-//!
-//! [`Table::snapshot`] freezes a consistent read-only view
-//! ([`TableSnapshot`]) in `O(chunks)` refcount bumps — no cell is
-//! copied. The live table keeps mutating; a write to a chunk still
-//! shared with a snapshot copies that one 16 KiB chunk first
-//! (`Arc::make_mut`), so snapshot cost is proportional to the chunks
-//! *mutated while the snapshot is alive*, not to table size. Drift
-//! reports, `detect_all` cross-checks, and serde checkpoints read the
-//! snapshot while ingest continues.
+//! A column is a plain `Vec<ValueId>` — 4 bytes per cell —
+//! dictionary-encoded against the process-global [`ValuePool`]. Ingest
+//! interns each cell once; every downstream consumer (indexes,
+//! discovery, detection, the stream engine) operates on `Copy` ids and
+//! pays string costs only per *distinct* value. The `Value`/`&str`
+//! views (`cell`, `cell_str`, `row`, `iter_pair`) are preserved at the
+//! API boundary for CSV ingest, reports and serde; id accessors
+//! (`cell_id`, `row_ids`) are the hot path.
 //!
 //! Tables can also opt into **cell refcounting**
 //! ([`Table::enable_refcounts`]): every live cell holds one
@@ -53,7 +44,6 @@
 //! columns and the tombstone bitmap shrink to the live-row footprint
 //! (observable via [`Table::mem_footprint`]).
 
-use crate::cow::CowVec;
 use crate::error::TableError;
 use crate::pool::{ValueId, ValuePool};
 use crate::schema::Schema;
@@ -251,10 +241,10 @@ pub fn parse_ops(text: &str) -> Result<OpLog, TableError> {
 #[derive(Debug)]
 pub struct Table {
     schema: Schema,
-    columns: Vec<CowVec<ValueId>>,
+    columns: Vec<Vec<ValueId>>,
     rows: usize,
     /// Tombstone bitmap, parallel to the slots (`false` = deleted).
-    live: CowVec<bool>,
+    live: Vec<bool>,
     /// Number of `false` entries in `live`.
     dead: usize,
     /// Compaction epoch: 0 at construction, bumped by every
@@ -268,14 +258,22 @@ pub struct Table {
     reclaim: Vec<(ValueId, u32)>,
 }
 
-/// A clone of a [`Table`] shares every storage chunk and does *not*
-/// inherit refcount participation: the clone did not retain its cells,
-/// so it must not release them either. Use
-/// [`Table::enable_refcounts`] on the clone to opt it in (it retains
-/// its own counts).
+/// A clone of a [`Table`] does *not* inherit refcount participation:
+/// the clone did not retain its cells, so it must not release them
+/// either. Use [`Table::enable_refcounts`] on the clone to opt it in (it
+/// retains its own counts).
 impl Clone for Table {
     fn clone(&self) -> Table {
-        self.clone_data()
+        Table {
+            schema: self.schema.clone(),
+            columns: self.columns.clone(),
+            rows: self.rows,
+            live: self.live.clone(),
+            dead: self.dead,
+            epoch: self.epoch,
+            refcounted: false,
+            reclaim: Vec::new(),
+        }
     }
 }
 
@@ -295,64 +293,18 @@ impl PartialEq for Table {
 
 impl Eq for Table {}
 
-/// A frozen, read-only view of a [`Table`] captured by
-/// [`Table::snapshot`].
-///
-/// Capture is `O(chunks)` — the snapshot shares every storage chunk
-/// with the live table; neither copies until the live side mutates a
-/// shared chunk (and then only that chunk). The snapshot derefs to
-/// [`Table`], so the whole read API (`cell_id`, `iter_live`,
-/// `iter_pair`, serde, `mem_footprint`, …) works on it; there is no way
-/// to mutate one.
-#[derive(Debug, Clone)]
-pub struct TableSnapshot {
-    inner: Table,
-}
-
-impl TableSnapshot {
-    /// The frozen view, as a `&Table`.
-    #[must_use]
-    pub fn table(&self) -> &Table {
-        &self.inner
-    }
-}
-
-impl std::ops::Deref for TableSnapshot {
-    type Target = Table;
-
-    fn deref(&self) -> &Table {
-        &self.inner
-    }
-}
-
 impl Table {
     /// An empty table with the given schema.
     #[must_use]
     pub fn empty(schema: Schema) -> Table {
-        let columns = (0..schema.arity()).map(|_| CowVec::new()).collect();
+        let columns = (0..schema.arity()).map(|_| Vec::new()).collect();
         Table {
             schema,
             columns,
             rows: 0,
-            live: CowVec::new(),
+            live: Vec::new(),
             dead: 0,
             epoch: 0,
-            refcounted: false,
-            reclaim: Vec::new(),
-        }
-    }
-
-    /// The data-preserving clone behind both `Clone` and
-    /// [`Table::snapshot`]: shares every chunk, drops refcount
-    /// bookkeeping (see the `Clone` impl for why).
-    fn clone_data(&self) -> Table {
-        Table {
-            schema: self.schema.clone(),
-            columns: self.columns.clone(),
-            rows: self.rows,
-            live: self.live.clone(),
-            dead: self.dead,
-            epoch: self.epoch,
             refcounted: false,
             reclaim: Vec::new(),
         }
@@ -444,11 +396,11 @@ impl Table {
     /// only sweeps after compaction, when tombstones are gone.
     pub fn delete_row(&mut self, row: RowId) -> Result<(), TableError> {
         self.require_live(row)?;
-        self.live.set(row, false);
+        self.live[row] = false;
         self.dead += 1;
         if self.refcounted {
             for c in 0..self.columns.len() {
-                let id = self.columns[c].get(row);
+                let id = self.columns[c][row];
                 if let Some(generation) = ValuePool::release(id) {
                     self.reclaim.push((id, generation));
                 }
@@ -483,13 +435,12 @@ impl Table {
     fn overwrite_cell(&mut self, row: RowId, col: usize, id: ValueId) {
         if self.refcounted {
             ValuePool::retain(id);
-            let old = self.columns[col].get(row);
-            self.columns[col].set(row, id);
+            let old = std::mem::replace(&mut self.columns[col][row], id);
             if let Some(generation) = ValuePool::release(old) {
                 self.reclaim.push((old, generation));
             }
         } else {
-            self.columns[col].set(row, id);
+            self.columns[col][row] = id;
         }
     }
 
@@ -558,7 +509,7 @@ impl Table {
     /// out-of-range ids.)
     #[must_use]
     pub fn is_live(&self, row: RowId) -> bool {
-        row < self.live.len() && self.live.get(row)
+        self.live.get(row).copied().unwrap_or(false)
     }
 
     /// Iterate the live `RowId`s in ascending order.
@@ -566,7 +517,7 @@ impl Table {
         self.live
             .iter()
             .enumerate()
-            .filter_map(|(r, alive)| alive.then_some(r))
+            .filter_map(|(r, &alive)| alive.then_some(r))
     }
 
     /// Number of columns.
@@ -578,7 +529,7 @@ impl Table {
     /// Iterate a whole column of ids by index, tombstoned slots
     /// included (panics if out of range).
     pub fn column(&self, idx: usize) -> impl Iterator<Item = ValueId> + '_ {
-        self.columns[idx].iter()
+        self.columns[idx].iter().copied()
     }
 
     /// [`Table::column`] by name.
@@ -586,26 +537,26 @@ impl Table {
         &self,
         name: &str,
     ) -> Result<impl Iterator<Item = ValueId> + '_, TableError> {
-        Ok(self.columns[self.schema.require(name)?].iter())
+        Ok(self.column(self.schema.require(name)?))
     }
 
     /// One cell, materialized as a [`Value`] (allocates for text; use
     /// [`Table::cell_id`] or [`Table::cell_str`] on hot paths).
     #[must_use]
     pub fn cell(&self, row: RowId, col: usize) -> Value {
-        self.columns[col].get(row).value()
+        self.columns[col][row].value()
     }
 
     /// One cell's interned id — `O(1)`, `Copy`, allocation-free.
     #[must_use]
     pub fn cell_id(&self, row: RowId, col: usize) -> ValueId {
-        self.columns[col].get(row)
+        self.columns[col][row]
     }
 
     /// One cell's string content (`None` if null).
     #[must_use]
     pub fn cell_str(&self, row: RowId, col: usize) -> Option<&'static str> {
-        self.columns[col].get(row).as_str()
+        self.columns[col][row].as_str()
     }
 
     /// Overwrite one cell (used by error injection and repair).
@@ -616,14 +567,14 @@ impl Table {
     /// Materialize one row as owned [`Value`]s.
     #[must_use]
     pub fn row(&self, row: RowId) -> Vec<Value> {
-        self.columns.iter().map(|c| c.get(row).value()).collect()
+        self.columns.iter().map(|c| c[row].value()).collect()
     }
 
     /// One row as interned ids (the clone-free counterpart of
     /// [`Table::row`]).
     #[must_use]
     pub fn row_ids(&self, row: RowId) -> Vec<ValueId> {
-        self.columns.iter().map(|c| c.get(row)).collect()
+        self.columns.iter().map(|c| c[row]).collect()
     }
 
     /// Iterate `(RowId, ValueId)` over the *live* rows of a column.
@@ -632,8 +583,9 @@ impl Table {
     pub fn iter_column(&self, col: usize) -> impl Iterator<Item = (RowId, ValueId)> + '_ {
         self.columns[col]
             .iter()
+            .copied()
             .enumerate()
-            .filter(|&(r, _)| self.live.get(r))
+            .filter(|&(r, _)| self.live[r])
     }
 
     /// Iterate `(RowId, &str, &str)` over the non-null cells of the live
@@ -648,7 +600,7 @@ impl Table {
             .zip(self.columns[b].iter())
             .enumerate()
             .filter_map(|(id, (va, vb))| {
-                if !self.live.get(id) {
+                if !self.live[id] {
                     return None;
                 }
                 Some((id, va.as_str()?, vb.as_str()?))
@@ -689,7 +641,7 @@ impl Table {
     pub fn compact(&mut self) -> RowIdRemap {
         let mut map = Vec::with_capacity(self.rows);
         let mut next = 0usize;
-        for alive in self.live.iter() {
+        for &alive in &self.live {
             if alive {
                 map.push(Some(next));
                 next += 1;
@@ -698,20 +650,16 @@ impl Table {
             }
         }
         if self.dead > 0 {
-            // Rebuild each column into fresh, unshared chunks: memory is
-            // genuinely released, and any chunks a snapshot still shares
-            // stay with the snapshot alone.
+            // Keep the survivors in order and give the freed capacity
+            // back: memory is genuinely released.
             for col in &mut self.columns {
-                let fresh: CowVec<ValueId> = col
-                    .iter()
-                    .zip(map.iter())
-                    .filter_map(|(v, entry)| entry.map(|_| v))
-                    .collect();
-                *col = fresh;
+                let mut alive = self.live.iter();
+                col.retain(|_| *alive.next().expect("one liveness flag per slot"));
+                col.shrink_to_fit();
             }
         }
         self.rows = next;
-        self.live = (0..next).map(|_| true).collect();
+        self.live = vec![true; next];
         self.dead = 0;
         self.epoch += 1;
         obs::counter!("table.compact").incr();
@@ -730,34 +678,16 @@ impl Table {
     /// the observable that makes tombstone reclamation measurable.
     #[must_use]
     pub fn mem_footprint(&self) -> MemFootprint {
-        let column_bytes: usize = self.columns.iter().map(CowVec::capacity_bytes).sum();
+        let column_bytes: usize = self
+            .columns
+            .iter()
+            .map(|c| c.capacity() * std::mem::size_of::<ValueId>())
+            .sum();
         MemFootprint {
-            bytes: column_bytes + self.live.capacity_bytes(),
+            bytes: column_bytes + self.live.capacity() * std::mem::size_of::<bool>(),
             total_slots: self.rows,
             live_slots: self.live_rows(),
         }
-    }
-
-    /// Capture a copy-on-write snapshot — a frozen, consistent view this
-    /// table's future mutations cannot disturb. `O(chunks)` refcount
-    /// bumps; see [`TableSnapshot`].
-    #[must_use]
-    pub fn snapshot(&self) -> TableSnapshot {
-        obs::counter!("snapshot.table_captures").incr();
-        TableSnapshot {
-            inner: self.clone_data(),
-        }
-    }
-
-    /// Number of storage chunks currently shared with live snapshots —
-    /// the upper bound on chunk copies future mutations can pay.
-    #[must_use]
-    pub fn shared_chunks(&self) -> usize {
-        self.columns
-            .iter()
-            .map(CowVec::shared_chunks)
-            .sum::<usize>()
-            + self.live.shared_chunks()
     }
 
     /// Opt this table into cell refcounting: every *live* cell takes one
@@ -770,8 +700,8 @@ impl Table {
         }
         self.refcounted = true;
         for col in &self.columns {
-            for (r, id) in col.iter().enumerate() {
-                if self.live.get(r) {
+            for (&id, &alive) in col.iter().zip(&self.live) {
+                if alive {
                     ValuePool::retain(id);
                 }
             }
@@ -821,7 +751,7 @@ impl Serialize for Table {
                 .map(|c| c.iter().map(|id| id.value()).collect())
                 .collect(),
             rows: self.rows,
-            deleted: (0..self.rows).filter(|&r| !self.live.get(r)).collect(),
+            deleted: (0..self.rows).filter(|&r| !self.live[r]).collect(),
             epoch: self.epoch,
         }
         .to_json_value()
@@ -856,7 +786,7 @@ impl Deserialize for Table {
                 .map(|c| c.iter().map(ValuePool::intern_value).collect())
                 .collect(),
             rows: repr.rows,
-            live: live.into_iter().collect(),
+            live,
             dead,
             epoch: repr.epoch,
             refcounted: false,
@@ -1247,36 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_freezes_view_while_table_mutates() {
-        let mut t = zip_table();
-        let snap = t.snapshot();
-        assert_eq!(*snap.table(), t);
-        t.update_row(0, vec![Value::text("99999"), Value::text("Boston")])
-            .unwrap();
-        t.delete_row(1).unwrap();
-        t.push_row(vec![Value::text("90005"), Value::text("Chicago")])
-            .unwrap();
-        // The snapshot still reads the world as it was at capture.
-        assert_eq!(snap.row_count(), 4);
-        assert_eq!(snap.live_rows(), 4);
-        assert_eq!(snap.cell_str(0, 0), Some("90001"));
-        assert!(snap.is_live(1));
-        // The live table moved on.
-        assert_eq!(t.cell_str(0, 0), Some("99999"));
-        assert_eq!(t.row_count(), 5);
-        assert!(!t.is_live(1));
-        // Compaction rebuilds into fresh chunks — the snapshot keeps its
-        // frozen view across the epoch boundary.
-        t.compact();
-        assert_eq!(snap.epoch(), 0);
-        assert_eq!(snap.cell_str(1, 1), Some("Los Angeles"));
-        // A snapshot serializes like any table (checkpoint path).
-        let json = serde_json::to_string(snap.table()).unwrap();
-        let back: Table = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, *snap.table());
-    }
-
-    #[test]
     fn refcounts_follow_cell_occurrences() {
         // Unique strings: the pool is process-global, so refcount
         // assertions are only meaningful on values no other test interns.
@@ -1340,7 +1240,7 @@ mod tests {
         t.push_row(vec![Value::text("rcl-table-clone")]).unwrap();
         let id = t.cell_id(0, 0);
         assert_eq!(ValuePool::refcount(id), 1);
-        // The clone shares the data but holds no retains of its own —
+        // The clone copies the data but holds no retains of its own —
         // deleting in the clone must not disturb the original's count.
         let mut c = t.clone();
         assert!(!c.is_refcounted());

@@ -118,9 +118,9 @@ fn usage() -> String {
      \x20                any live row at each compaction barrier, recycling\n\
      \x20                their pool ids — output is bit-for-bit identical\n\
      \x20                either way;\n\
-     \x20                --checkpoint (needs --store) writes a consistent\n\
-     \x20                {epoch, table, live violations} JSON checkpoint\n\
-     \x20                into the store from a copy-on-write snapshot;\n\
+     \x20                --checkpoint (needs --store) writes the final\n\
+     \x20                {epoch, table, live violations} as a JSON\n\
+     \x20                checkpoint into the store;\n\
      \x20                --stats-every N prints a one-line stats snapshot\n\
      \x20                every N batches; --metrics-out FILE writes the\n\
      \x20                full metrics registry as JSON at exit; timing\n\
@@ -594,28 +594,25 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         }
     }
 
-    // Snapshot-backed checkpoint: the capture is O(chunks) chunk-handle
-    // clones, so a service would keep ingesting while the serialization
-    // below reads the frozen view.
+    // The checkpoint runs after the last op, so it reads the engine's
+    // final state directly.
     if checkpoint {
         let dir = store_dir.as_deref().expect("validated before replay");
-        let snap = engine.snapshot();
-        let table_json = serde_json::to_string(snap.table())
+        let table_json = serde_json::to_string(engine.table())
             .map_err(|e| format!("serializing checkpoint table: {e}"))?;
-        let violations_json = serde_json::to_string(&snap.ledger().snapshot())
+        let violations_json = serde_json::to_string(&engine.ledger().snapshot())
             .map_err(|e| format!("serializing checkpoint violations: {e}"))?;
         let json = format!(
             "{{\"epoch\":{},\"table\":{table_json},\"violations\":{violations_json}}}",
-            snap.epoch()
+            engine.epoch()
         );
         let out = format!("{dir}/{}.checkpoint.json", dataset_name(path));
         std::fs::write(&out, json).map_err(|e| format!("writing {out}: {e}"))?;
         out!(
-            "checkpoint: epoch {}, {} live row(s), {} live violation(s) written to {out} \
-             (copy-on-write snapshot; ingest may continue)",
-            snap.epoch(),
-            snap.table().live_rows(),
-            snap.ledger().live_count()
+            "checkpoint: epoch {}, {} live row(s), {} live violation(s) written to {out}",
+            engine.epoch(),
+            engine.live_rows(),
+            engine.ledger().live_count()
         );
     }
 

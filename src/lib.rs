@@ -88,9 +88,7 @@ pub mod prelude {
         Pfd, PfdKind, RepairReport, RhsCell, Violation, ViolationKind, ViolationLedger,
     };
     pub use anmat_pattern::{ConstrainedPattern, Pattern};
-    pub use anmat_stream::{
-        CompactionStats, DriftReport, EngineSnapshot, StreamConfig, StreamEngine,
-    };
+    pub use anmat_stream::{CompactionStats, DriftReport, StreamConfig, StreamEngine};
     pub use anmat_table::{
         csv, MemFootprint, NullPolicy, ReclaimStats, RowId, RowIdRemap, RowOp, Schema, Table,
         TableProfile, Value, ValueId, ValuePool,

@@ -704,12 +704,14 @@ fn stream_metrics_out_writes_parseable_registry_snapshot() {
     let gauges = keys(section("gauges"));
     let histograms = keys(section("histograms"));
     // One representative per instrumented family: pool, table,
-    // engine-phase, ledger.
+    // engine-phase, index (the op-log's update and delete remove rows
+    // from the blocking partition), ledger.
     for want in [
         "pool.intern.misses",
         "table.push",
         "table.delete",
         "engine.ops",
+        "index.remove",
         "ledger.created",
         "ledger.retracted",
     ] {
@@ -863,8 +865,8 @@ fn stream_without_rules_source_fails() {
 }
 
 /// `--reclaim` sweeps stranded strings at the compaction barrier and is
-/// output-invariant below the header; `--checkpoint` writes a
-/// snapshot-backed JSON checkpoint into the store.
+/// output-invariant below the header; `--checkpoint` writes the final
+/// epoch, table and live violations as JSON into the store.
 #[test]
 fn stream_reclaim_is_output_invariant_and_checkpoint_writes_json() {
     let dir = std::env::temp_dir().join(format!("anmat_cli_reclaim_{}", std::process::id()));
@@ -898,7 +900,8 @@ fn stream_reclaim_is_output_invariant_and_checkpoint_writes_json() {
             name: "zips".into(),
             profile: None,
             rules: pfds
-                .into_iter()
+                .iter()
+                .cloned()
                 .map(|pfd| StoredRule {
                     pfd,
                     status: RuleStatus::Confirmed,
@@ -944,7 +947,7 @@ fn stream_reclaim_is_output_invariant_and_checkpoint_writes_json() {
     );
     assert!(
         text.contains("checkpoint: epoch 1, 10 live row(s)"),
-        "snapshot-backed checkpoint banner:\n{text}"
+        "checkpoint banner:\n{text}"
     );
     let checkpoint_path = store_dir.join("zips.checkpoint.json");
     let checkpoint = std::fs::read_to_string(&checkpoint_path).unwrap();
@@ -952,7 +955,29 @@ fn stream_reclaim_is_output_invariant_and_checkpoint_writes_json() {
         checkpoint.starts_with("{\"epoch\":1,\"table\":"),
         "checkpoint JSON shape:\n{checkpoint}"
     );
-    assert!(checkpoint.contains("\"violations\":"));
+    // The content, not just the shape: the stored table is the engine's
+    // compacted one, and its violations are what batch detection finds
+    // over it.
+    let json: serde::Value = serde_json::from_str(&checkpoint).expect("checkpoint is valid JSON");
+    let part = |name: &str| {
+        json.get(name)
+            .unwrap_or_else(|| panic!("checkpoint has a `{name}` field"))
+    };
+    assert_eq!(part("epoch"), &serde::Value::UInt(1));
+    let table: Table =
+        serde::Deserialize::from_json_value(part("table")).expect("checkpoint table loads");
+    assert_eq!(table.epoch(), 1);
+    assert_eq!(table.live_rows(), 10);
+    let violations: Vec<Violation> =
+        serde::Deserialize::from_json_value(part("violations")).expect("violations load");
+    let key = |v: &Violation| (v.row, v.dependency.clone());
+    let stored: std::collections::BTreeSet<_> = violations.iter().map(key).collect();
+    let batch: std::collections::BTreeSet<_> = detect_all(&table, &pfds).iter().map(key).collect();
+    assert!(
+        !stored.is_empty(),
+        "the 900 block keeps two minority cities"
+    );
+    assert_eq!(stored, batch, "checkpointed violations ≡ detect_all");
 
     // Everything is identical modulo the reclaim / checkpoint lines and
     // the pool footprint itself (which is the point: the sweep shrinks
